@@ -1,10 +1,11 @@
 // Ablation — where MTI's pruning comes from: per-clause skip counters over
 // a k sweep on the Friendster-8 proxy (clause 1 skips the whole point,
-// clauses 2/3 prune candidate centroids; paper §4). Counter totals are
-// invariant to the thread schedule (each point is visited exactly once per
-// iteration and the centroid trajectory is deterministic), so every column
-// is a stat — this suite is a pure-determinism companion to fig8's timing
-// view of the same switch.
+// clauses 2/3 cut the assigned centroid's sorted neighbour list on the
+// loosened and then the tightened bound; paper §4, DESIGN.md §3). Counter
+// totals are invariant to the thread schedule (each point is visited
+// exactly once per iteration and the centroid trajectory is deterministic),
+// so every column is a stat — this suite is a pure-determinism companion
+// to fig8's timing view of the same switch.
 #include "core/knori.hpp"
 #include "harness/datasets.hpp"
 
@@ -57,7 +58,11 @@ const Registration reg({
     "On natural-cluster data the pruned fraction grows with k (more "
     "centroids to rule out per point) and clause 1 dominates once points "
     "settle — entire points skipped without touching their rows, the "
-    "mechanism knors turns into I/O savings.",
+    "mechanism knors turns into I/O savings. Clause 3 is the tightened-"
+    "bound cut: after one distance to the assigned centroid, candidates "
+    "with 1/2 d(a, c) >= d(v, a) are cut from a's sorted list on top of "
+    "clause 2's loosened-bound cut; it adds to clause 2 wherever the "
+    "tightened bound is below the loosened one.",
     340, run});
 
 }  // namespace

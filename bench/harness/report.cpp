@@ -94,8 +94,26 @@ Table tabulate(const std::vector<Row>& rows) {
       key_union(rows, [](const Row& r) -> const auto& { return r.labels; });
   const auto stat_keys =
       key_union(rows, [](const Row& r) -> const auto& { return r.stats; });
-  const auto timing_keys =
+  // A name some rows report as a stat and others as a timing (fig5's
+  // tasks_* counters) is ONE column: it renders among the stats, and a row
+  // that timed it fills the cell with its timing.
+  auto timing_keys =
       key_union(rows, [](const Row& r) -> const auto& { return r.timings; });
+  timing_keys.erase(
+      std::remove_if(timing_keys.begin(), timing_keys.end(),
+                     [&](const std::string& key) {
+                       return std::find(stat_keys.begin(), stat_keys.end(),
+                                        key) != stat_keys.end();
+                     }),
+      timing_keys.end());
+  const auto timing_of = [](const Row& row, const std::string& key,
+                            std::string& cell) {
+    for (const auto& [k, v] : row.timings)
+      if (k == key) {
+        cell = timing_cell(v);
+        return;
+      }
+  };
   Table t;
   t.header = label_keys;
   t.header.insert(t.header.end(), stat_keys.begin(), stat_keys.end());
@@ -112,12 +130,12 @@ Table tabulate(const std::vector<Row>& rows) {
       std::string cell;
       for (const auto& [k, v] : row.stats)
         if (k == key) { cell = pretty_number(v); break; }
+      if (cell.empty()) timing_of(row, key, cell);
       line.push_back(cell);
     }
     for (const auto& key : timing_keys) {
       std::string cell;
-      for (const auto& [k, v] : row.timings)
-        if (k == key) { cell = timing_cell(v); break; }
+      timing_of(row, key, cell);
       line.push_back(cell);
     }
     t.cells.push_back(std::move(line));

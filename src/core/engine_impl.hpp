@@ -112,10 +112,10 @@ Result run_parallel_lloyd(const Data& data, index_t n, index_t d,
   const int k = opts.k;
   // One ISA for the whole run, resolved from opts rather than the
   // process-global dispatch (concurrent runs with different --simd must not
-  // retarget each other): every distance below (pruned per-centroid,
+  // retarget each other): every distance below (pruned subset scan,
   // blocked full scan, energy pass) goes through the same kernel table, so
-  // the blocked/per-centroid bitwise-equality contract of kernels/simd.hpp
-  // keeps pruned and unpruned paths in exact agreement.
+  // the bitwise-equality contract of kernels/simd.hpp keeps pruned and
+  // unpruned paths in exact agreement.
   const kernels::Ops& K = kernels::ops_for(opts.simd);
   const index_t task_size =
       sched::Scheduler::resolve_task_size(n, opts.task_size);
@@ -168,9 +168,9 @@ Result run_parallel_lloyd(const Data& data, index_t n, index_t d,
         mti.set_ub(i, resume->upper_bounds[static_cast<std::size_t>(i)]);
   }
 
-  // Padded, 64-byte-aligned centroid tile for the blocked full-scan
-  // kernel; repacked from `cur` before every iteration (driver thread,
-  // outside the super-phase, so workers only ever read it).
+  // Padded, 64-byte-aligned centroid tile for the blocked full-scan and
+  // subset kernels; repacked from `cur` before every iteration (calling
+  // thread, outside the super-phase, so workers only ever read it).
   kernels::CentroidPack pack;
 
   // Accumulation strategy (see LocalCentroids vs SignedCentroids):
@@ -212,51 +212,19 @@ Result run_parallel_lloyd(const Data& data, index_t n, index_t d,
     Counters& cnt = per_thread[static_cast<std::size_t>(tid)].counters;
     const cluster_t a = res.assignments[r];
     if (prune && a != kInvalidCluster) {
-      const value_t loosened = mti.ub(r) + mti.drift(a);
-      if (mti.clause1(a, loosened)) {
-        // Clause 1: assignment provably unchanged — no distance
-        // computation, no accumulate, no touch of the row data at all
-        // (the in-memory analogue of knors's elided I/O request).
-        mti.set_ub(r, loosened);
-        ++cnt.clause1_skips;
-        return;
-      }
-      // Clause 3 prelude: tighten the bound with one distance computation.
-      value_t best_d = std::sqrt(K.dist_sq(v, cur.row(a), d));
-      value_t best_d_sq = best_d * best_d;
-      ++cnt.dist_computations;
-      cluster_t best = a;
-      for (int c = 0; c < k; ++c) {
-        if (static_cast<cluster_t>(c) == a) continue;
-        // Clause 2: loosened bound vs. the assigned centroid's separation.
-        if (loosened <= value_t(0.5) * mti.c2c(a, static_cast<cluster_t>(c))) {
-          ++cnt.clause2_skips;
-          continue;
-        }
-        // Clause 3: tightened bound vs. the current best's separation.
-        if (best_d <= value_t(0.5) * mti.c2c(best, static_cast<cluster_t>(c))) {
-          ++cnt.clause3_skips;
-          continue;
-        }
-        // Compare in squared form; sqrt only when the best improves (the
-        // triangle-inequality bookkeeping needs true distances, but the
-        // argmin does not).
-        const value_t dsq = K.dist_sq(v, cur.row(static_cast<index_t>(c)), d);
-        ++cnt.dist_computations;
-        if (dsq < best_d_sq) {
-          best_d_sq = dsq;
-          best_d = std::sqrt(dsq);
-          best = static_cast<cluster_t>(c);
-        }
-      }
+      // Clause 1: assignment provably unchanged — no distance computation,
+      // no accumulate, no touch of the row data at all (the in-memory
+      // analogue of knors's elided I/O request).
+      if (mti.skip(r, a, cnt)) return;
+      // Survivor: the shared pruned-assign step (clauses 2/3 + subset scan).
+      const cluster_t best = mti.assign(r, v, a, K, pack, cnt);
       if (best != a) {
         ++per_thread[static_cast<std::size_t>(tid)].changed;
         auto& delta = deltas.touch(chunk);
         delta.sub(a, v);
         delta.add(best, v);
+        res.assignments[r] = best;
       }
-      res.assignments[r] = best;
-      mti.set_ub(r, best_d);
       return;
     }
 
@@ -270,14 +238,9 @@ Result run_parallel_lloyd(const Data& data, index_t n, index_t d,
     if (prune) {
       // MTI bookkeeping is in true distances: the one sqrt of the scan.
       mti.set_ub(r, std::sqrt(best_sq));
-      // First iteration under pruning: every point joins a cluster.
-      auto& delta = deltas.touch(chunk);
-      if (a == kInvalidCluster) {
-        delta.add(best, v);
-      } else if (best != a) {
-        delta.sub(a, v);
-        delta.add(best, v);
-      }
+      // First iteration under pruning (every assigned point took the
+      // pruned branch above): the point joins its first cluster.
+      deltas.touch(chunk).add(best, v);
     } else {
       locals.touch(chunk).add(best, v);
     }

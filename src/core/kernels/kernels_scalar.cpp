@@ -43,6 +43,20 @@ cluster_t scalar_nearest_blocked(const value_t* point,
   return best;
 }
 
+// Same per-id dist_sq as the legacy scan, over the listed ids only.
+cluster_t scalar_nearest_subset(const value_t* point, const CentroidPack& pack,
+                                const cluster_t* ids, int count,
+                                cluster_t keep, value_t* io_sq) {
+  const index_t d = pack.d();
+  cluster_t best = keep;
+  value_t best_sq = *io_sq;
+  for (int i = 0; i < count; ++i)
+    offer_subset(knor::dist_sq(point, pack.row(static_cast<int>(ids[i])), d),
+                 ids[i], keep, best, best_sq);
+  *io_sq = best_sq;
+  return best;
+}
+
 // Fused-scalar GEMM-argmin reference (DESIGN.md §12): per (row, centroid)
 // the dot product accumulates strictly sequentially over the depth —
 // ascending col-panels, ascending columns — which is the exact reduction
@@ -95,6 +109,7 @@ Ops scalar_ops() {
   ops.dot = &scalar_dot;
   ops.nearest = &scalar_nearest;
   ops.nearest_blocked = &scalar_nearest_blocked;
+  ops.nearest_subset = &scalar_nearest_subset;
   ops.gemm_argmin = &scalar_gemm_argmin;
   return ops;
 }

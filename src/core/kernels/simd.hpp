@@ -12,12 +12,14 @@
 //  * Each ISA variant uses a FIXED lane count and a FIXED horizontal-
 //    reduction tree, so for a given selected ISA results are bitwise
 //    invariant across runs, thread counts and scheduling policies.
-//  * For every ISA, the blocked nearest-centroid kernel interleaves the
-//    exact per-centroid accumulator/reduction sequence of that ISA's
-//    dist_sq, so blocked and per-centroid distance values are bitwise
-//    IDENTICAL. This is what keeps the MTI-pruned path (per-centroid
-//    dist_sq) in exact agreement with the full-scan path (blocked) —
-//    pruned vs. unpruned runs stay bitwise-equal under any ISA.
+//  * For every ISA, the blocked nearest-centroid kernel and the subset
+//    kernel (the MTI survivor scan over a sorted candidate prefix) both
+//    interleave the exact per-centroid accumulator/reduction sequence of
+//    that ISA's dist_sq, so blocked, subset and per-centroid distance
+//    values are bitwise IDENTICAL. This is what keeps the MTI-pruned path
+//    (dist_sq to the assigned centroid + subset scan) in exact agreement
+//    with the full-scan path (blocked) — pruned vs. unpruned runs stay
+//    bitwise-equal under any ISA.
 //  * Isa::kScalar is the legacy reference in core/distance.hpp, bit-for-
 //    bit: `--simd scalar` reproduces the pre-SIMD clusterings of every
 //    Lloyd-family engine exactly. (Two call sites were normalized in the
@@ -128,6 +130,16 @@ struct Ops {
   /// independent dist_sq calls (see the header comment).
   cluster_t (*nearest_blocked)(const value_t* point, const CentroidPack& pack,
                                value_t* out_sq) = nullptr;
+  /// Subset argmin over a CentroidPack — the MTI survivor scan: evaluates
+  /// the `count` centroids listed in `ids` (any order, no duplicates, not
+  /// `keep`) straight from the list, in the same register-blocked tiles as
+  /// nearest_blocked, every distance bitwise equal to dist_sq. The
+  /// incumbent `keep` enters with squared distance *io_sq and wins every
+  /// tie; among listed candidates the lowest id wins a tie. Returns the
+  /// winner and leaves its squared distance in *io_sq.
+  cluster_t (*nearest_subset)(const value_t* point, const CentroidPack& pack,
+                              const cluster_t* ids, int count, cluster_t keep,
+                              value_t* io_sq) = nullptr;
   /// Fused blocked-GEMM argmin epilogue (DESIGN.md §12): streams `mrows`
   /// row-major data rows (leading dimension lda) against centroid panels
   /// [p0, p1) of `b` — a TiledMatrix packed from the k x d centroid matrix

@@ -18,6 +18,11 @@
 //    the point chunk is loaded once per tile instead of once per centroid,
 //    and kTile independent FMA chains keep the pipeline full.
 //
+//  * nearest_subset_t runs the SAME tile body (tile_dist_sq_t) over a list
+//    of centroid ids instead of the whole pack — the MTI survivor scan
+//    over a sorted candidate prefix — so its distances are bitwise equal
+//    to dist_sq_t as well.
+//
 //  * The masked partial chunk masks the POINT load; the centroid side is a
 //    full-width aligned load whose padding lanes the CentroidPack
 //    guarantees to be +0.0. Masked-off point lanes are +0.0 too, so the
@@ -58,6 +63,7 @@
 #include <limits>
 
 #include "common/types.hpp"
+#include "core/kernels/isa_tables.hpp"
 #include "core/kernels/simd.hpp"
 
 namespace knor::kernels::detail {
@@ -120,6 +126,46 @@ cluster_t nearest_t(const value_t* point, const value_t* centroids, int k,
   return best;
 }
 
+/// Squared distances from `point` to the kTile pack rows `rows`: the
+/// per-centroid schedule of dist_sq_t run for the whole tile at once, so
+/// out[t] is bitwise EQUAL to dist_sq_t(point, rows[t], d). The shared tile
+/// body of the blocked (all centroids) and subset (a listed few) kernels.
+template <class V>
+[[gnu::always_inline]] inline void tile_dist_sq_t(
+    const value_t* point, const value_t* const rows[kTile], index_t d,
+    value_t out[kTile]) {
+  typename V::vec acc0[kTile], acc1[kTile];
+  for (int t = 0; t < kTile; ++t) {
+    acc0[t] = V::zero();
+    acc1[t] = V::zero();
+  }
+  index_t j = 0;
+  for (; j + 2 * V::kW <= d; j += 2 * V::kW) {
+    const typename V::vec p0 = V::loadu(point + j);
+    const typename V::vec p1 = V::loadu(point + j + V::kW);
+    for (int t = 0; t < kTile; ++t) {
+      acc0[t] = V::diff_fma(p0, V::load(rows[t] + j), acc0[t]);
+      acc1[t] = V::diff_fma(p1, V::load(rows[t] + j + V::kW), acc1[t]);
+    }
+  }
+  if (j + V::kW <= d) {
+    const typename V::vec p0 = V::loadu(point + j);
+    for (int t = 0; t < kTile; ++t)
+      acc0[t] = V::diff_fma(p0, V::load(rows[t] + j), acc0[t]);
+    j += V::kW;
+  }
+  if (j < d) {
+    // Point masked, centroid full-width: the pack's zero padding makes
+    // the dead lanes contribute exactly nothing (see header comment).
+    const typename V::vec pp = V::load_partial(point + j, d - j);
+    for (int t = 0; t < kTile; ++t)
+      acc1[t] = V::diff_fma(pp, V::load(rows[t] + j), acc1[t]);
+  }
+  typename V::vec sums[kTile];
+  for (int t = 0; t < kTile; ++t) sums[t] = V::add(acc0[t], acc1[t]);
+  V::reduce_tile(sums, out);  // out[t] bitwise == hsum(sums[t])
+}
+
 template <class V>
 cluster_t nearest_blocked_t(const value_t* point, const CentroidPack& pack,
                             value_t* out_sq) {
@@ -130,38 +176,9 @@ cluster_t nearest_blocked_t(const value_t* point, const CentroidPack& pack,
   int c = 0;
   for (; c + kTile <= k; c += kTile) {
     const value_t* rows[kTile];
-    typename V::vec acc0[kTile], acc1[kTile];
-    for (int t = 0; t < kTile; ++t) {
-      rows[t] = pack.row(c + t);
-      acc0[t] = V::zero();
-      acc1[t] = V::zero();
-    }
-    index_t j = 0;
-    for (; j + 2 * V::kW <= d; j += 2 * V::kW) {
-      const typename V::vec p0 = V::loadu(point + j);
-      const typename V::vec p1 = V::loadu(point + j + V::kW);
-      for (int t = 0; t < kTile; ++t) {
-        acc0[t] = V::diff_fma(p0, V::load(rows[t] + j), acc0[t]);
-        acc1[t] = V::diff_fma(p1, V::load(rows[t] + j + V::kW), acc1[t]);
-      }
-    }
-    if (j + V::kW <= d) {
-      const typename V::vec p0 = V::loadu(point + j);
-      for (int t = 0; t < kTile; ++t)
-        acc0[t] = V::diff_fma(p0, V::load(rows[t] + j), acc0[t]);
-      j += V::kW;
-    }
-    if (j < d) {
-      // Point masked, centroid full-width: the pack's zero padding makes
-      // the dead lanes contribute exactly nothing (see header comment).
-      const typename V::vec pp = V::load_partial(point + j, d - j);
-      for (int t = 0; t < kTile; ++t)
-        acc1[t] = V::diff_fma(pp, V::load(rows[t] + j), acc1[t]);
-    }
-    typename V::vec sums[kTile];
-    for (int t = 0; t < kTile; ++t) sums[t] = V::add(acc0[t], acc1[t]);
+    for (int t = 0; t < kTile; ++t) rows[t] = pack.row(c + t);
     value_t dist[kTile];
-    V::reduce_tile(sums, dist);  // dist[t] bitwise == hsum(sums[t])
+    tile_dist_sq_t<V>(point, rows, d, dist);
     for (int t = 0; t < kTile; ++t) {
       if (dist[t] < best_sq) {
         best_sq = dist[t];
@@ -179,6 +196,30 @@ cluster_t nearest_blocked_t(const value_t* point, const CentroidPack& pack,
     }
   }
   if (out_sq != nullptr) *out_sq = best_sq;
+  return best;
+}
+
+template <class V>
+cluster_t nearest_subset_t(const value_t* point, const CentroidPack& pack,
+                           const cluster_t* ids, int count, cluster_t keep,
+                           value_t* io_sq) {
+  const index_t d = pack.d();
+  cluster_t best = keep;
+  value_t best_sq = *io_sq;
+  int i = 0;
+  for (; i + kTile <= count; i += kTile) {
+    const value_t* rows[kTile];
+    for (int t = 0; t < kTile; ++t)
+      rows[t] = pack.row(static_cast<int>(ids[i + t]));
+    value_t dist[kTile];
+    tile_dist_sq_t<V>(point, rows, d, dist);
+    for (int t = 0; t < kTile; ++t)
+      offer_subset(dist[t], ids[i + t], keep, best, best_sq);
+  }
+  for (; i < count; ++i)
+    offer_subset(dist_sq_t<V>(point, pack.row(static_cast<int>(ids[i])), d),
+                 ids[i], keep, best, best_sq);
+  *io_sq = best_sq;
   return best;
 }
 
@@ -262,6 +303,7 @@ Ops make_ops(Isa isa) {
   ops.dot = &dot_t<V>;
   ops.nearest = &nearest_t<V>;
   ops.nearest_blocked = &nearest_blocked_t<V>;
+  ops.nearest_subset = &nearest_subset_t<V>;
   ops.gemm_argmin = &gemm_argmin_t<V>;
   return ops;
 }

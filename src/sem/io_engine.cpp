@@ -60,18 +60,28 @@ void IoEngine::stage_pages(const std::vector<std::uint64_t>& pages) {
   // become one device read — SAFS-style request merging. Gap pages inside a
   // merged extent are read too (that is the fragmentation cost Figure 6b
   // quantifies: the device transfers more than was requested).
+  //
+  // Every requested page is probed exactly once, counting one page-cache
+  // hit or miss: a resident page that ends an extent was already probed by
+  // the merge loop, so the next round skips it without a second probe.
   std::size_t i = 0;
+  bool probed_resident = false;  // pages[i] already counted as a hit
   std::vector<unsigned char> buf;
   while (i < pages.size()) {
-    if (cache_.contains(pages[i])) {
+    if (probed_resident || cache_.probe(pages[i])) {
+      probed_resident = false;
       ++i;
       continue;
     }
     std::size_t j = i;
     while (j + 1 < pages.size() &&
-           pages[j + 1] - pages[j] <= 1 + merge_gap_ &&
-           !cache_.contains(pages[j + 1]))
+           pages[j + 1] - pages[j] <= 1 + merge_gap_) {
+      if (cache_.probe(pages[j + 1])) {
+        probed_resident = true;
+        break;
+      }
       ++j;
+    }
     const std::uint64_t first = pages[i];
     const auto count = static_cast<std::uint32_t>(pages[j] - first + 1);
     buf.resize(static_cast<std::size_t>(count) * file_.page_size());
@@ -104,7 +114,7 @@ void IoEngine::fetch_rows(const std::vector<index_t>& rows, value_t* out) {
       const std::uint64_t page_id = off / page_size;
       const std::size_t in_page = static_cast<std::size_t>(off % page_size);
       const std::size_t take = std::min(remaining, page_size - in_page);
-      if (!cache_.lookup(page_id, page.data())) {
+      if (!cache_.copy_out(page_id, page.data())) {
         // Evicted between staging and copy (tiny cache): re-read directly.
         file_.read_pages(page_id, 1, page.data());
         cache_.insert(page_id, page.data());

@@ -29,26 +29,20 @@ PageCache::PageCache(std::size_t capacity_bytes, std::size_t page_size,
   capacity_pages_ = per_part * static_cast<std::size_t>(partitions);
 }
 
-bool PageCache::lookup(std::uint64_t page_id, unsigned char* out) {
+bool PageCache::access(std::uint64_t page_id, unsigned char* out,
+                       bool count) {
   Partition& part = part_of(page_id);
   std::lock_guard<std::mutex> lock(part.mu);
   const auto it = part.index.find(page_id);
   if (it == part.index.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    if (count) misses_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   part.referenced[it->second] = 1;
-  std::memcpy(out, part.frames.data() + it->second * page_size_, page_size_);
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-bool PageCache::contains(std::uint64_t page_id) {
-  Partition& part = part_of(page_id);
-  std::lock_guard<std::mutex> lock(part.mu);
-  const auto it = part.index.find(page_id);
-  if (it == part.index.end()) return false;
-  part.referenced[it->second] = 1;
+  if (out != nullptr)
+    std::memcpy(out, part.frames.data() + it->second * page_size_,
+                page_size_);
+  if (count) hits_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 

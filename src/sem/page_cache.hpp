@@ -26,10 +26,25 @@ class PageCache {
   /// Total page slots across partitions.
   std::size_t capacity_pages() const { return capacity_pages_; }
 
-  /// Copy page `page_id` into `out` if cached. Marks the page referenced.
-  bool lookup(std::uint64_t page_id, unsigned char* out);
-  /// True when the page is resident (no copy, still marks referenced).
-  bool contains(std::uint64_t page_id);
+  /// Copy page `page_id` into `out` if cached; counts one hit or miss.
+  /// Marks the page referenced.
+  bool lookup(std::uint64_t page_id, unsigned char* out) {
+    return access(page_id, out, /*count=*/true);
+  }
+  /// lookup() without counting: the copy-out of a page a probe() already
+  /// counted when it was staged.
+  bool copy_out(std::uint64_t page_id, unsigned char* out) {
+    return access(page_id, out, /*count=*/false);
+  }
+  /// True when the page is resident; counts one hit or miss. The staging
+  /// path's residency test: each requested page is probed exactly once.
+  bool probe(std::uint64_t page_id) {
+    return access(page_id, nullptr, /*count=*/true);
+  }
+  /// True when the page is resident (uncounted; still marks referenced).
+  bool contains(std::uint64_t page_id) {
+    return access(page_id, nullptr, /*count=*/false);
+  }
   /// Insert (or refresh) a page; evicts via clock within the partition.
   void insert(std::uint64_t page_id, const unsigned char* data);
   /// Drop everything (used between bench configurations).
@@ -51,6 +66,10 @@ class PageCache {
     AlignedBuffer<unsigned char> frames;
     std::size_t hand = 0;
   };
+
+  /// Resident test + optional copy into `out`; `count` tallies a hit or
+  /// a miss.
+  bool access(std::uint64_t page_id, unsigned char* out, bool count);
 
   Partition& part_of(std::uint64_t page_id) {
     return *parts_[static_cast<std::size_t>(page_id) % parts_.size()];

@@ -50,6 +50,7 @@ struct alignas(kCacheLine) SemPerThread {
   std::uint64_t changed = 0;
   std::uint64_t active = 0;
   std::uint64_t rc_hits = 0;
+  double busy_s = 0.0;  ///< CPU time in super-phases, whole run
 };
 
 DenseMatrix sem_init_centroids(PageFile& file, IoEngine& engine,
@@ -101,10 +102,6 @@ Result kmeans(const std::string& path, const Options& opts,
   obs::Histogram& io_wait_us =
       reg.histogram("sem.io_wait_us", obs::Det::kTiming);
   const kernels::Ops& K = kernels::ops_for(opts.simd);
-  // MTI bookkeeping below is in TRUE distances (kernels return squared).
-  const auto edist = [&K](const value_t* a, const value_t* b, index_t dim) {
-    return std::sqrt(K.dist_sq(a, b, dim));
-  };
   PageFile file(path, sem_opts.page_size, sem_opts.ssd);
   const index_t n = file.n();
   const index_t d = file.d();
@@ -156,8 +153,8 @@ Result kmeans(const std::string& path, const Options& opts,
   DenseMatrix cur = resumed ? std::move(restored.centroids)
                             : sem_init_centroids(file, engine, opts);
   DenseMatrix prev(static_cast<index_t>(k), d);
-  // Padded centroid tile for the blocked full-scan kernel; repacked on the
-  // driver thread before each iteration's super-phase.
+  // Padded centroid tile for the blocked full-scan and subset kernels;
+  // repacked on the calling thread before each iteration's super-phase.
   kernels::CentroidPack pack;
   if (resumed) res.assignments = std::move(restored.assignments);
 
@@ -212,45 +209,24 @@ Result kmeans(const std::string& path, const Options& opts,
       static_cast<std::uint64_t>(opts.tolerance * static_cast<double>(n));
   bool refresh_mode = false;
 
-  // Assign + accumulate for one fetched (or cached) row; `chunk` selects
-  // the deterministic accumulator slot of the task being processed.
+  // Assign + accumulate for one fetched (or cached) row that survived
+  // clause 1; `chunk` selects the deterministic accumulator slot of the
+  // task being processed.
   const auto process_row = [&](int tid, std::uint32_t chunk, index_t r,
                                const value_t* v) {
     auto& pt = per_thread[static_cast<std::size_t>(tid)];
     const cluster_t a = res.assignments[r];
     cluster_t best;
-    value_t best_d;
     if (opts.prune && a != kInvalidCluster) {
-      const value_t loosened = mti.ub(r) + mti.drift(a);
-      best_d = edist(v, cur.row(a), d);
-      ++pt.counters.dist_computations;
-      best = a;
-      for (int c = 0; c < k; ++c) {
-        if (static_cast<cluster_t>(c) == a) continue;
-        if (loosened <=
-            value_t(0.5) * mti.c2c(a, static_cast<cluster_t>(c))) {
-          ++pt.counters.clause2_skips;
-          continue;
-        }
-        if (best_d <=
-            value_t(0.5) * mti.c2c(best, static_cast<cluster_t>(c))) {
-          ++pt.counters.clause3_skips;
-          continue;
-        }
-        const value_t dc = edist(v, cur.row(static_cast<index_t>(c)), d);
-        ++pt.counters.dist_computations;
-        if (dc < best_d) {
-          best_d = dc;
-          best = static_cast<cluster_t>(c);
-        }
-      }
+      // The pruned-assign step shared with knori/knord (core/mti.hpp).
+      best = mti.assign(r, v, a, K, pack, pt.counters);
     } else {
       value_t best_sq = 0;
       best = K.nearest_blocked(v, pack, &best_sq);
-      best_d = std::sqrt(best_sq);  // the MTI upper bound is a true distance
       pt.counters.dist_computations += static_cast<std::uint64_t>(k);
+      // The MTI upper bound is a true distance.
+      if (opts.prune) mti.set_ub(r, std::sqrt(best_sq));
     }
-    if (opts.prune) mti.set_ub(r, best_d);
     if (a == kInvalidCluster) {
       deltas.touch(chunk).add(best, v);
       ++pt.changed;
@@ -264,6 +240,7 @@ Result kmeans(const std::string& path, const Options& opts,
   };
 
   const auto worker = [&](int tid) {
+    const double cpu_start = thread_cpu_seconds();
     auto& pt = per_thread[static_cast<std::size_t>(tid)];
     pt.changed = 0;
     pt.active = 0;
@@ -280,14 +257,9 @@ Result kmeans(const std::string& path, const Options& opts,
       needed.clear();
       for (index_t r = task.begin; r < task.end; ++r) {
         const cluster_t a = res.assignments[r];
-        if (opts.prune && a != kInvalidCluster) {
-          const value_t loosened = mti.ub(r) + mti.drift(a);
-          if (mti.clause1(a, loosened)) {
-            mti.set_ub(r, loosened);
-            ++pt.counters.clause1_skips;
-            continue;  // assignment provably unchanged: no I/O, no compute
-          }
-        }
+        // Clause 1: assignment provably unchanged — no I/O, no compute.
+        if (opts.prune && a != kInvalidCluster && mti.skip(r, a, pt.counters))
+          continue;
         needed.push_back(r);
       }
       pt.active += needed.size();
@@ -337,6 +309,7 @@ Result kmeans(const std::string& path, const Options& opts,
         std::swap(fetch_now, fetch_next);
       }
     }
+    pt.busy_s += thread_cpu_seconds() - cpu_start;
   };
 
   for (int it = start_iter; it < opts.max_iters; ++it) {
@@ -449,7 +422,10 @@ Result kmeans(const std::string& path, const Options& opts,
     for (const double e : chunk_energy) res.energy += e;
   }
 
-  for (const auto& pt : per_thread) res.counters += pt.counters;
+  for (const auto& pt : per_thread) {
+    res.counters += pt.counters;
+    res.thread_busy_s.push_back(pt.busy_s);
+  }
   res.counters.tasks_own = steals.own;
   res.counters.tasks_same_node = steals.same_node;
   res.counters.tasks_remote_node = steals.remote_node;

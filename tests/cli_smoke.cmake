@@ -181,6 +181,13 @@ reject_step(bench_bad_warmup ${KNOR_BENCH} --suite kernels_micro
 reject_step(bench_bad_factor ${KNOR_BENCH} --suite kernels_micro
             --scale smoke --factor fast)
 
+# A repeated flag is ambiguous and must exit 2, not let the last one win
+# (`knor_bench --suite a --suite b` used to run only b).
+reject_step2(bench_repeated_suite ${KNOR_BENCH} --suite kernels_micro
+             --suite fig5_scheduler --scale smoke)
+reject_step2(cluster_repeated_k ${KNOR_CLI} cluster --data ${DATA} --mode im
+             --k 2 --k 4)
+
 # knor_stream shares the strict-parsing contract.
 reject_step(stream_bad_decay ${KNOR_STREAM} ingest --data ${DATA} --k 4
             --decay hot)

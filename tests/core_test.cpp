@@ -6,6 +6,7 @@
 #include <cmath>
 #include <set>
 
+#include "common/prng.hpp"
 #include "core/distance.hpp"
 #include "core/engines.hpp"
 #include "core/init.hpp"
@@ -196,16 +197,24 @@ TEST(MtiState, BoundsStartInfinite) {
     EXPECT_TRUE(std::isinf(mti.ub(i)));
 }
 
-TEST(MtiState, PrepareComputesC2CDriftAndSeparation) {
+TEST(MtiState, PrepareSortsNeighboursDriftAndSeparation) {
   // Centroids at (0,0), (4,0), (0,3): distances 4, 3, 5.
   DenseMatrix cur(3, 2);
   cur.at(1, 0) = 4;
   cur.at(2, 1) = 3;
   MtiState mti(1, 3);
   mti.prepare(DenseMatrix{}, cur);
-  EXPECT_DOUBLE_EQ(mti.c2c(0, 1), 4.0);
-  EXPECT_DOUBLE_EQ(mti.c2c(0, 2), 3.0);
-  EXPECT_DOUBLE_EQ(mti.c2c(1, 2), 5.0);
+  // Each list holds the other k-1 centroids by ascending distance, with
+  // half-distances alongside.
+  EXPECT_EQ(mti.neighbours(0)[0], 2u);
+  EXPECT_EQ(mti.neighbours(0)[1], 1u);
+  EXPECT_DOUBLE_EQ(mti.half(0)[0], 1.5);  // d(0,2)/2
+  EXPECT_DOUBLE_EQ(mti.half(0)[1], 2.0);  // d(0,1)/2
+  EXPECT_EQ(mti.neighbours(1)[0], 0u);
+  EXPECT_EQ(mti.neighbours(1)[1], 2u);
+  EXPECT_DOUBLE_EQ(mti.half(1)[1], 2.5);  // d(1,2)/2
+  EXPECT_EQ(mti.neighbours(2)[0], 0u);
+  EXPECT_EQ(mti.neighbours(2)[1], 1u);
   EXPECT_DOUBLE_EQ(mti.s_half(0), 1.5);  // min(4,3)/2
   EXPECT_DOUBLE_EQ(mti.s_half(1), 2.0);  // min(4,5)/2
   EXPECT_DOUBLE_EQ(mti.drift(0), 0.0);   // no previous centroids
@@ -225,6 +234,64 @@ TEST(MtiState, Clause1UsesHalfSeparation) {
   mti.prepare(DenseMatrix{}, cur);
   EXPECT_TRUE(mti.clause1(0, 4.9));   // 4.9 <= 5.0
   EXPECT_FALSE(mti.clause1(0, 5.1));  // cannot prove
+}
+
+TEST(MtiState, EqualDistancesSortByIdAndPrefixIsStrict) {
+  // Centroid 0 at the origin, 1..3 all at distance 2: ties order by id,
+  // and a cutoff equal to the half-distance cuts nothing in (strict <).
+  DenseMatrix cur(4, 2);
+  cur.at(1, 0) = 2;
+  cur.at(2, 1) = 2;
+  cur.at(3, 0) = -2;
+  MtiState mti(1, 4);
+  mti.prepare(DenseMatrix{}, cur);
+  EXPECT_EQ(mti.neighbours(0)[0], 1u);
+  EXPECT_EQ(mti.neighbours(0)[1], 2u);
+  EXPECT_EQ(mti.neighbours(0)[2], 3u);
+  EXPECT_EQ(mti.prefix(0, 1.0), 0);
+  EXPECT_EQ(mti.prefix(0, std::nextafter(1.0, 2.0)), 3);
+}
+
+TEST(MtiState, PrefixMatchesBruteForceCount) {
+  // For random centroids and random cutoffs, the cut length equals the
+  // number of other centroids with 1/2 d(a, c) < cutoff, and the list
+  // holds every other centroid exactly once.
+  Prng rng(2024, 5);
+  for (const int k : {2, 3, 7, 16, 33}) {
+    const index_t d = 1 + rng.next_below(9);
+    DenseMatrix cur(static_cast<index_t>(k), d);
+    for (index_t i = 0; i < cur.size(); ++i)
+      cur.data()[i] = std::floor(8 * rng.next_double());  // forces ties
+    MtiState mti(1, k);
+    mti.prepare(DenseMatrix{}, cur);
+    for (int a = 0; a < k; ++a) {
+      std::vector<int> seen(static_cast<std::size_t>(k), 0);
+      for (int j = 0; j < k - 1; ++j)
+        ++seen[mti.neighbours(static_cast<cluster_t>(a))[j]];
+      for (int c = 0; c < k; ++c)
+        EXPECT_EQ(seen[static_cast<std::size_t>(c)], c == a ? 0 : 1);
+      for (int trial = 0; trial < 20; ++trial) {
+        // Half the cutoffs land exactly on a listed half-distance.
+        const value_t cutoff =
+            trial % 2 == 0
+                ? 6 * rng.next_double()
+                : mti.half(static_cast<cluster_t>(a))[rng.next_below(
+                      static_cast<std::uint64_t>(k - 1))];
+        int brute = 0;
+        for (int c = 0; c < k; ++c) {
+          if (c == a) continue;
+          const value_t h =
+              value_t(0.5) *
+              std::sqrt(kernels::ops().dist_sq(
+                  cur.row(static_cast<index_t>(a)),
+                  cur.row(static_cast<index_t>(c)), d));
+          if (h < cutoff) ++brute;
+        }
+        EXPECT_EQ(mti.prefix(static_cast<cluster_t>(a), cutoff), brute)
+            << "k=" << k << " a=" << a << " cutoff=" << cutoff;
+      }
+    }
+  }
 }
 
 TEST(MtiState, SingleClusterSeparationIsZero) {

@@ -95,6 +95,25 @@ TEST(Report, NanTimingRendersAsDash) {
   EXPECT_EQ(js.find("nan"), std::string::npos);
 }
 
+// A name some rows emit as a stat and others as a timing (fig5's tasks_*
+// counters) renders as ONE column, not one per kind.
+TEST(Report, StatAndTimingOfOneNameShareAColumn) {
+  const Suite mixed = {"mixed_kinds", "Mixed-kind suite", "test fixture",
+                       "trend", 4, [](Context& ctx) {
+                         ctx.row().label("config", "timed").timing("tasks",
+                                                                   3.0);
+                         ctx.row().label("config", "counted").stat("tasks",
+                                                                   5.0);
+                       }};
+  const RunOptions opts = RunOptions::for_scale(Scale::kSmoke);
+  const SuiteRun run = run_suite(mixed, opts);
+  ASSERT_TRUE(run.ok);
+  const std::string md = render_report({run}, opts);
+  EXPECT_NE(md.find("| config | tasks |\n"), std::string::npos) << md;
+  EXPECT_NE(md.find("| timed | 3 |"), std::string::npos) << md;
+  EXPECT_NE(md.find("| counted | 5 |"), std::string::npos) << md;
+}
+
 TEST(Json, DocumentRoundTrip) {
   Json doc = Json::object();
   doc.set("null", Json());

@@ -1,21 +1,29 @@
 // Property tests for the pruning paths: on randomized generator datasets,
-// MTI-pruned ||Lloyd's (knori) and Elkan's full triangle-inequality
-// algorithm must reproduce unpruned serial Lloyd's EXACTLY — identical
-// assignments and iteration counts for every seed — and the energy of every
-// exact engine must be monotone non-increasing along the iteration
-// sequence. Pruning bugs (a bound that under-estimates, a drift applied in
-// the wrong direction, a stale c2c entry) show up here as a flipped
-// assignment on some seed long before they corrupt a benchmark.
+// MTI-pruned ||Lloyd's (knori), the same pruned-assign step under knors
+// (semi-external memory) and knord (ranks), and Elkan's full triangle-
+// inequality algorithm must reproduce unpruned serial Lloyd's EXACTLY —
+// identical assignments and iteration counts for every seed — and the
+// energy of every exact engine must be monotone non-increasing along the
+// iteration sequence. Pruning bugs (a bound that under-estimates, a drift
+// applied in the wrong direction, a stale or mis-sorted neighbour list, a
+// prefix cut one entry short) show up here as a flipped assignment on some
+// seed long before they corrupt a benchmark.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <limits>
+#include <string>
 
 #include "common/prng.hpp"
 #include "core/engines.hpp"
 #include "core/knori.hpp"
 #include "data/generator.hpp"
+#include "data/matrix_io.hpp"
+#include "dist/knord.hpp"
+#include "sem/sem_kmeans.hpp"
 
 namespace knor {
 namespace {
@@ -79,6 +87,65 @@ TEST(PruningProperty, MtiAndElkanMatchSerialOn50Seeds) {
         EXPECT_LT(elkan.counters.dist_computations, full) << "seed " << seed;
       }
     }
+  }
+}
+
+// knors runs the shared pruned-assign step on rows fetched through the
+// page cache / row cache / prefetch ring: tiny caches and batches force
+// every path (hits, refreshes, double-buffered fetches).
+TEST(PruningProperty, SemMtiMatchesSerial) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("knor_prune_prop_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "m.kmat").string();
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    const RandomCase c = make_case(seed);
+    data::write_matrix(path, data::generate(c.spec));
+    const DenseMatrix m = data::read_matrix(path);
+
+    Options serial_opts = c.opts;
+    serial_opts.prune = false;
+    const Result ref = lloyd_serial(m.const_view(), serial_opts);
+
+    Options sem_opts = c.opts;
+    sem_opts.prune = true;
+    sem::SemOptions so;
+    so.page_size = 512;
+    so.page_cache_bytes = 8 << 10;
+    so.row_cache_bytes = 4 << 10;
+    so.cache_update_interval = 2;
+    so.io_batch_rows = 64;
+    const Result got = sem::kmeans(path, sem_opts, so);
+    ASSERT_EQ(got.iters, ref.iters) << "sem seed " << seed;
+    ASSERT_EQ(got.assignments, ref.assignments) << "sem seed " << seed;
+    ASSERT_EQ(got.cluster_sizes, ref.cluster_sizes) << "sem seed " << seed;
+    EXPECT_EQ(got.thread_busy_s.size(),
+              static_cast<std::size_t>(c.opts.threads));
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// knord inherits the pruned-assign step through each rank's engine; the
+// per-rank bounds and neighbour lists must agree with the global clustering.
+TEST(PruningProperty, DistMtiMatchesSerial) {
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    const RandomCase c = make_case(seed);
+    const DenseMatrix m = data::generate(c.spec);
+
+    Options serial_opts = c.opts;
+    serial_opts.prune = false;
+    const Result ref = lloyd_serial(m.const_view(), serial_opts);
+
+    Options dist_opts = c.opts;
+    dist_opts.prune = true;
+    dist::DistOptions dopts;
+    dopts.ranks = 2 + static_cast<int>(seed % 2);
+    dopts.threads_per_rank = 1 + static_cast<int>(seed % 3 == 0);
+    const Result got = dist::kmeans(m.const_view(), dist_opts, dopts);
+    ASSERT_EQ(got.iters, ref.iters) << "dist seed " << seed;
+    ASSERT_EQ(got.assignments, ref.assignments) << "dist seed " << seed;
+    ASSERT_EQ(got.cluster_sizes, ref.cluster_sizes) << "dist seed " << seed;
   }
 }
 

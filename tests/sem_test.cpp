@@ -232,6 +232,52 @@ TEST_F(SemTest, IoEnginePrefetchStagesPages) {
     EXPECT_EQ(out.at(static_cast<index_t>(i), 0), m.at(rows[i], 0));
 }
 
+// ProfileEvents-style accounting of the staging path: every page a request
+// needs counts exactly one page-cache hit or miss — cold pass all misses,
+// warm pass all hits, and a resident page that ends a merged extent is not
+// probed (counted) twice.
+TEST_F(SemTest, PageCacheCountsEachStagedPageOnce) {
+  data::GeneratorSpec spec;
+  spec.n = 1000;
+  spec.d = 8;
+  const std::string p = make_matrix(spec);
+  PageFile file(p, 512);
+  PageCache cache(1 << 20, 512, 2);
+  IoEngine engine(file, cache, 1);
+  std::vector<index_t> rows(1000);
+  std::iota(rows.begin(), rows.end(), 0);
+  const std::uint64_t pages =
+      file.last_page_of_row(999) - file.first_page_of_row(0) + 1;
+  DenseMatrix out(1000, 8);
+
+  engine.fetch_rows(rows, out.data());  // cold
+  EXPECT_EQ(cache.misses(), pages);
+  EXPECT_EQ(cache.hits(), 0u);
+
+  cache.reset_stats();
+  engine.fetch_rows(rows, out.data());  // warm
+  EXPECT_EQ(cache.hits(), pages);
+  EXPECT_EQ(cache.misses(), 0u);
+
+  // Only a page in the middle is resident: the merge loop stops at it
+  // (one hit) and resumes after it without a second probe.
+  cache.clear();
+  index_t mid = 500;
+  while (file.first_page_of_row(mid) != file.last_page_of_row(mid)) ++mid;
+  engine.fetch_rows({mid}, out.data());
+  cache.reset_stats();
+  engine.fetch_rows(rows, out.data());
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.misses(), pages - 1);
+
+  // The prefetch ring stages through the same path.
+  cache.clear();
+  cache.reset_stats();
+  engine.prefetch(rows).wait();
+  EXPECT_EQ(cache.misses(), pages);
+  EXPECT_EQ(cache.hits(), 0u);
+}
+
 TEST(RowCacheTest, LazyRefreshSchedule) {
   RowCache rc(1 << 16, 8, 2);
   rc.set_update_interval(5);

@@ -4,15 +4,17 @@
 //  * each ISA is bitwise self-deterministic call to call;
 //  * the scalar table reproduces the legacy core/distance.hpp kernels
 //    bit-for-bit;
-//  * the blocked nearest-centroid kernel is bitwise-identical to k
-//    independent dist_sq calls of the same ISA (the contract that keeps
-//    MTI-pruned and full-scan paths in exact agreement);
+//  * the blocked nearest-centroid kernel and the subset kernel (the MTI
+//    survivor scan) are bitwise-identical to independent dist_sq calls of
+//    the same ISA (the contract that keeps MTI-pruned and full-scan paths
+//    in exact agreement), and the subset kernel's tie rule is pinned;
 //  * CentroidPack rows are 64-byte aligned with zero padding for every
 //    d in 1..33 (the odd-d regression sweep);
 //  * Options::simd steers the engines and every ISA yields identical
 //    clusterings on integer-valued data.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
@@ -90,6 +92,7 @@ TEST(SimdDispatch, ScalarAlwaysAvailableAndResolves) {
     ASSERT_NE(ops.dot, nullptr);
     ASSERT_NE(ops.nearest, nullptr);
     ASSERT_NE(ops.nearest_blocked, nullptr);
+    ASSERT_NE(ops.nearest_subset, nullptr);
   }
   // Unavailable requests clamp downward instead of failing, and kAuto
   // always lands on something dispatchable (KNOR_SIMD may steer it, so no
@@ -226,6 +229,153 @@ TEST(SimdKernels, BlockedMatchesPerCentroidDistSqBitwise) {
                   ref_best);
         EXPECT_EQ(std::memcmp(&generic_sq, &ref_sq, sizeof(value_t)), 0);
       }
+    }
+  }
+}
+
+/// Reference for Ops::nearest_subset: the incumbent `keep` (squared
+/// distance keep_sq) wins every tie; listed ids are visited in ascending id
+/// order with a strict '<', so the lowest id wins a tie among them.
+cluster_t ref_subset(const Ops& ops, const value_t* point,
+                     const std::vector<value_t>& cents, index_t d,
+                     std::vector<cluster_t> ids, cluster_t keep,
+                     value_t* io_sq) {
+  std::sort(ids.begin(), ids.end());
+  cluster_t best = keep;
+  for (const cluster_t c : ids) {
+    const value_t dc = ops.dist_sq(
+        point, cents.data() + static_cast<std::size_t>(c) * d, d);
+    if (dc < *io_sq) {
+      *io_sq = dc;
+      best = c;
+    }
+  }
+  return best;
+}
+
+// The MTI survivor scan: for every ISA, the subset kernel over a shuffled
+// id list (sizes 0, 1, 3, 4, 5 and k-1, so every k % 4 tile remainder
+// occurs) is bitwise equal to per-id dist_sq. Each listed position is
+// checked on its own by moving the point next to that centroid, so every
+// tile slot and every remainder slot must produce dist_sq's exact bits.
+TEST(SimdKernels, SubsetMatchesPerIdDistSqBitwise) {
+  Prng rng(0x5b5e7, 6);
+  for (const Isa isa : kernels::available_isas()) {
+    const Ops& ops = kernels::ops_for(isa);
+    ASSERT_NE(ops.nearest_subset, nullptr) << kernels::to_string(isa);
+    for (index_t d = 1; d <= 33; ++d) {
+      for (const int k : {2, 5, 6, 7, 8, 13}) {
+        const auto cents = random_vec(rng, static_cast<index_t>(k) * d);
+        CentroidPack pack;
+        pack.pack(cents.data(), k, d);
+        const auto keep = static_cast<cluster_t>(rng.next_below(k));
+        std::vector<cluster_t> others;
+        for (int c = 0; c < k; ++c)
+          if (static_cast<cluster_t>(c) != keep)
+            others.push_back(static_cast<cluster_t>(c));
+        for (const int size : {0, 1, 3, 4, 5, k - 1}) {
+          if (size > k - 1) continue;
+          for (std::size_t i = others.size(); i > 1; --i)  // shuffle
+            std::swap(others[i - 1], others[rng.next_below(i)]);
+          const std::vector<cluster_t> ids(others.begin(),
+                                           others.begin() + size);
+          const std::string where = std::string(kernels::to_string(isa)) +
+                                    " d=" + std::to_string(d) +
+                                    " k=" + std::to_string(k) +
+                                    " size=" + std::to_string(size);
+          // A random point against keep + the list.
+          const auto point = random_vec(rng, d);
+          value_t ref_sq = ops.dist_sq(
+              point.data(), cents.data() + static_cast<std::size_t>(keep) * d,
+              d);
+          value_t got_sq = ref_sq;
+          const cluster_t want = ref_subset(ops, point.data(), cents, d, ids,
+                                            keep, &ref_sq);
+          ASSERT_EQ(ops.nearest_subset(point.data(), pack, ids.data(), size,
+                                       keep, &got_sq),
+                    want)
+              << where;
+          ASSERT_EQ(std::memcmp(&got_sq, &ref_sq, sizeof(value_t)), 0)
+              << where;
+          // Every listed slot wins once: the point sits just off centroid
+          // ids[p], and the incumbent is out of the race (+inf).
+          for (int p = 0; p < size; ++p) {
+            std::vector<value_t> near(
+                cents.begin() + static_cast<std::ptrdiff_t>(ids[p] * d),
+                cents.begin() + static_cast<std::ptrdiff_t>((ids[p] + 1) * d));
+            for (auto& x : near) x += 1e-3 * (rng.next_double() - 0.5);
+            value_t sq = std::numeric_limits<value_t>::infinity();
+            ASSERT_EQ(ops.nearest_subset(near.data(), pack, ids.data(), size,
+                                         keep, &sq),
+                      ids[p])
+                << where << " slot " << p;
+            const value_t want_sq =
+                ops.dist_sq(near.data(),
+                            cents.data() + static_cast<std::size_t>(ids[p]) * d,
+                            d);
+            ASSERT_EQ(std::memcmp(&sq, &want_sq, sizeof(value_t)), 0)
+                << where << " slot " << p;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The subset kernel's winner rule on integer data, where every ISA computes
+// exact distances and ties are real: the incumbent wins every tie; among
+// listed ids the lowest wins, whatever its position (tile or remainder).
+TEST(SimdKernels, SubsetTiesKeepIncumbentThenLowestId) {
+  // Point at the origin; centroid c sits at distance^2 dist2[c].
+  const index_t d = 3;
+  const value_t dist2[8] = {4, 1, 1, 1, 9, 1, 4, 1};
+  std::vector<value_t> cents(8 * d, 0);
+  for (int c = 0; c < 8; ++c) {
+    // Integer coordinates with the requested squared norm.
+    const value_t r = dist2[c] == 9 ? 3 : dist2[c] == 4 ? 2 : 1;
+    cents[static_cast<std::size_t>(c) * d + static_cast<std::size_t>(c % 3)] =
+        c % 2 == 0 ? r : -r;
+  }
+  CentroidPack pack;
+  pack.pack(cents.data(), 8, d);
+  const std::vector<value_t> origin(d, 0);
+  for (const Isa isa : kernels::available_isas()) {
+    const Ops& ops = kernels::ops_for(isa);
+    const char* name = kernels::to_string(isa);
+    // Incumbent 3 (distance^2 1) ties with 7, 5, 2, 1: it keeps the point.
+    {
+      const std::vector<cluster_t> ids = {7, 5, 2, 1, 6, 0};
+      value_t sq = 1;
+      EXPECT_EQ(ops.nearest_subset(origin.data(), pack, ids.data(), 6, 3, &sq),
+                3u)
+          << name;
+      EXPECT_EQ(sq, 1.0) << name;
+    }
+    // Incumbent 4 (distance^2 9) loses; 1, 2, 3, 5, 7 tie at 1 and the
+    // lowest id wins — here placed in the remainder after a full tile.
+    {
+      const std::vector<cluster_t> ids = {7, 6, 5, 3, 0, 1, 2};
+      value_t sq = 9;
+      EXPECT_EQ(ops.nearest_subset(origin.data(), pack, ids.data(), 7, 4, &sq),
+                1u)
+          << name;
+      EXPECT_EQ(sq, 1.0) << name;
+    }
+    // ...and placed last inside the first tile.
+    {
+      const std::vector<cluster_t> ids = {7, 5, 3, 1, 2, 6};
+      value_t sq = 9;
+      EXPECT_EQ(ops.nearest_subset(origin.data(), pack, ids.data(), 6, 4, &sq),
+                1u)
+          << name;
+    }
+    // An empty list returns the incumbent untouched.
+    {
+      value_t sq = 9;
+      EXPECT_EQ(ops.nearest_subset(origin.data(), pack, nullptr, 0, 4, &sq),
+                4u)
+          << name;
+      EXPECT_EQ(sq, 9.0) << name;
     }
   }
 }

@@ -3,7 +3,7 @@
 // handler (which prints usage and exits nonzero) instead of atoi-style
 // silently becoming 0 — the bug class tests/cli_smoke.cmake pins for every
 // tool. Flags with values become map entries; bare flags map to "" and are
-// read via has().
+// read via has(). A flag given twice is rejected, never last-one-wins.
 #pragma once
 
 #include <cerrno>
@@ -32,6 +32,8 @@ class Args {
       std::string key = argv[i];
       if (key.rfind("--", 0) != 0) fail_("unexpected argument " + key);
       key = key.substr(2);
+      // No silent last-flag-wins: `--k 4 --k 8` is ambiguous, so reject it.
+      if (values_.count(key) > 0) fail_("repeated flag --" + key);
       if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
         values_[key] = argv[++i];
       else

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -144,8 +145,12 @@ int main(int argc, char** argv) {
   double factor = 0;
   int repeats = 0, warmup = -1;
 
+  std::set<std::string> seen;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    // Same contract as tools/cli_args.hpp: `--suite a --suite b` must not
+    // silently run only b.
+    if (!seen.insert(arg).second) usage(("repeated flag " + arg).c_str());
     const auto next = [&]() -> std::string {
       if (i + 1 >= argc) usage(("missing value for " + arg).c_str());
       return argv[++i];
