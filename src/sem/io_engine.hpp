@@ -1,16 +1,26 @@
 // Asynchronous I/O engine with request merging — the FlashGraph/SAFS I/O
-// layer of the SEM substrate.
+// layer of the SEM substrate (DESIGN.md §4).
 //
 // Responsibilities (paper §2 "FlashGraph ... merge I/O requests ... overlaps
 // I/O with computation"):
-//   * Request merging: a batch of row reads is translated to the set of
-//     pages it touches; runs of pages within `merge_gap` of each other are
-//     coalesced into single extent reads, amortizing device requests.
-//   * Page cache integration: resident pages are served from PageCache;
-//     only missing extents hit the device.
+//   * One pass per batch: fetch_rows walks the pages the batch's ascending
+//     rows touch, in order, probing each page of the page cache once (one
+//     hit or miss per staged page; no page list is built or sorted).
+//   * Row-sized copies: a resident page's rows are copied out of its frame
+//     under the partition lock, taken once per page; only the rows' bytes
+//     move, never the whole page.
+//   * Request merging: runs of missing pages within `merge_gap` of each
+//     other are coalesced into one extent read (gap pages are read and
+//     cached but copied nowhere). The extent is read with one preadv
+//     straight into page-cache frames claimed for it, and the rows it
+//     covers are copied from those frames before they are published — so
+//     a frame evicted right after publication cannot tear a row. A page
+//     that gets no frame (already resident, or all of its partition's
+//     frames claimed) lands in a per-thread spill buffer instead.
 //   * Asynchrony: prefetch(rows) hands a batch to a dedicated I/O thread
-//     which stages the pages into the cache while the compute thread works
-//     on the previous batch; Ticket::wait() synchronizes.
+//     which runs the same pass without copying rows out, while the
+//     compute thread works on the previous batch; Ticket::wait()
+//     synchronizes.
 //
 // The engine never keeps per-row state — row -> page geometry is computed
 // from the PageFile (the page_row design).
@@ -42,7 +52,7 @@ class IoEngine {
 
   /// Synchronously materialize rows `rows` (ascending) into `out`
   /// (rows.size() x d). Serves from the page cache; missing pages are read
-  /// as merged extents and inserted into the cache.
+  /// as merged extents into the cache.
   void fetch_rows(const std::vector<index_t>& rows, value_t* out);
 
   /// Handle for an in-flight prefetch.
@@ -58,7 +68,8 @@ class IoEngine {
     std::shared_ptr<State> state_;
   };
 
-  /// Asynchronously stage the pages of `rows` into the page cache.
+  /// Asynchronously stage the pages of `rows` (ascending) into the page
+  /// cache.
   Ticket prefetch(std::vector<index_t> rows);
 
   /// Total bytes of row data callers asked for (the "requested" series of
@@ -69,10 +80,8 @@ class IoEngine {
  private:
   struct Request;
 
-  /// Pages touched by `rows`, deduplicated & ascending.
-  std::vector<std::uint64_t> pages_of(const std::vector<index_t>& rows) const;
-  /// Load missing pages (merged extents) into the cache.
-  void stage_pages(const std::vector<std::uint64_t>& pages);
+  /// The one pass over ascending `rows`; `out` == nullptr stages only.
+  void stage(const std::vector<index_t>& rows, unsigned char* out);
   void io_loop();
 
   PageFile& file_;

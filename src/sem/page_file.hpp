@@ -10,11 +10,14 @@
 // otherwise hide device latency. Tests leave it disabled.
 #pragma once
 
+#include <sys/uio.h>
+
 #include <atomic>
 #include <cstdint>
 #include <string>
 
 #include "common/types.hpp"
+#include "obs/registry.hpp"
 
 namespace knor::sem {
 
@@ -53,11 +56,16 @@ class PageFile {
   }
 
   /// Read `count` pages starting at `first_page` into buf (count*page_size
-  /// bytes; the final page is zero-padded past EOF). One pread — callers
-  /// coalesce adjacent pages into extents to model SAFS request merging.
-  /// Thread-safe. Returns bytes read from the device.
+  /// bytes; the final page is zero-padded past EOF). One device request —
+  /// callers coalesce adjacent pages into extents to model SAFS request
+  /// merging. Thread-safe. Returns bytes read from the device.
   std::size_t read_pages(std::uint64_t first_page, std::uint32_t count,
                          unsigned char* buf);
+  /// The same extent read scattered over one page-sized destination per
+  /// page (`pages[i]` receives page first_page + i): a single preadv, so
+  /// an extent lands straight in page-cache frames with no staging copy.
+  std::size_t read_pages(std::uint64_t first_page, std::uint32_t count,
+                         unsigned char* const* pages);
 
   /// Device-level counters (monotonic).
   std::uint64_t bytes_read() const { return bytes_read_.load(); }
@@ -68,6 +76,11 @@ class PageFile {
   }
 
  private:
+  /// Vectored read of `want` bytes at `offset`, zero-filling past EOF;
+  /// counts one device request and one `sem.device_read_us` sample.
+  std::size_t read_extent(std::uint64_t offset, iovec* iov, int iovcnt,
+                          std::size_t want);
+
   int fd_ = -1;
   index_t n_ = 0;
   index_t d_ = 0;
@@ -77,6 +90,7 @@ class PageFile {
   std::uint64_t num_pages_ = 0;
   std::uint64_t header_bytes_ = 0;
   SsdCostModel cost_;
+  obs::Histogram& device_read_us_;
   std::atomic<std::uint64_t> bytes_read_{0};
   std::atomic<std::uint64_t> read_requests_{0};
 };

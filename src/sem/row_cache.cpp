@@ -1,25 +1,19 @@
 #include "sem/row_cache.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace knor::sem {
 
-RowCache::RowCache(std::size_t capacity_bytes, index_t d, int partitions)
-    : d_(d) {
-  if (partitions < 1) partitions = 1;
+RowCache::RowCache(std::size_t capacity_bytes, index_t d, std::size_t chunks)
+    : d_(d), chunks_(std::max<std::size_t>(chunks, 1)) {
   const std::size_t row_bytes = static_cast<std::size_t>(d) * sizeof(value_t);
-  std::size_t total_rows = row_bytes == 0 ? 0 : capacity_bytes / row_bytes;
-  rows_per_part_ = total_rows / static_cast<std::size_t>(partitions);
-  if (rows_per_part_ == 0) rows_per_part_ = 1;
-  parts_.reserve(static_cast<std::size_t>(partitions));
-  for (int p = 0; p < partitions; ++p) {
-    auto part = std::make_unique<Partition>();
-    part->staging_slab = AlignedBuffer<value_t>(rows_per_part_ * d_);
-    part->slab = AlignedBuffer<value_t>(rows_per_part_ * d_);
-    part->staging_index.reserve(rows_per_part_ * 2);
-    part->index.reserve(rows_per_part_ * 2);
-    parts_.push_back(std::move(part));
-  }
+  capacity_rows_ = row_bytes == 0 ? 0 : capacity_bytes / row_bytes;
+  // Even split: the first capacity % chunks chunks get one extra row.
+  const std::size_t each = capacity_rows_ / chunks_.size();
+  const std::size_t extra = capacity_rows_ % chunks_.size();
+  for (std::size_t c = 0; c < chunks_.size(); ++c)
+    chunks_[c].quota = each + (c < extra ? 1 : 0);
 }
 
 void RowCache::set_update_interval(int interval) {
@@ -27,52 +21,63 @@ void RowCache::set_update_interval(int interval) {
   next_refresh_ = update_interval_;
 }
 
+void RowCache::plan(const std::vector<std::size_t>& active_per_chunk) {
+  std::size_t left = capacity_rows_;
+  for (std::size_t c = 0; c < chunks_.size(); ++c) {
+    chunks_[c].quota = std::min(active_per_chunk[c], left);
+    left -= chunks_[c].quota;
+  }
+}
+
 RowCache::Mode RowCache::begin_iteration(int iter) {
-  refreshing_ = iter == next_refresh_;
+  refreshing_ = refresh_due(iter);
   if (refreshing_) {
     // Exponential back-off of refreshes: I, 2I, 4I, ...
     next_refresh_ *= 2;
-    for (auto& p : parts_) p->staging_index.clear();
+    for (Chunk& ch : chunks_) {
+      ch.staging_index.clear();
+      ch.staging_index.reserve(ch.quota);
+      ch.staging_rows = AlignedBuffer<value_t>(ch.quota * d_);
+    }
   }
   return refreshing_ ? Mode::kRefresh : Mode::kStatic;
 }
 
-const value_t* RowCache::lookup(int part, index_t r) {
-  Partition& p = *parts_[static_cast<std::size_t>(part)];
-  const auto it = p.index.find(r);
-  if (it == p.index.end()) {
+const value_t* RowCache::lookup(std::size_t chunk, index_t r) {
+  const Chunk& ch = chunks_[chunk];
+  const auto it = ch.index.find(r);
+  if (it == ch.index.end()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
   hits_.fetch_add(1, std::memory_order_relaxed);
-  return p.slab.data() + it->second * d_;
+  return ch.rows.data() + it->second * d_;
 }
 
-void RowCache::offer(int part, index_t r, const value_t* row_data) {
+void RowCache::offer(std::size_t chunk, index_t r, const value_t* row_data) {
   if (!refreshing_) return;
-  Partition& p = *parts_[static_cast<std::size_t>(part)];
-  std::lock_guard<std::mutex> lock(p.staging_mu);
-  if (p.staging_index.size() >= rows_per_part_) return;  // budget exhausted
-  const auto [it, inserted] = p.staging_index.try_emplace(
-      r, p.staging_index.size());
+  Chunk& ch = chunks_[chunk];
+  if (ch.staging_index.size() >= ch.quota) return;  // quota exhausted
+  const auto [it, inserted] =
+      ch.staging_index.try_emplace(r, ch.staging_index.size());
   if (!inserted) return;
-  std::memcpy(p.staging_slab.data() + it->second * d_, row_data,
+  std::memcpy(ch.staging_rows.data() + it->second * d_, row_data,
               static_cast<std::size_t>(d_) * sizeof(value_t));
 }
 
 void RowCache::publish() {
   if (!refreshing_) return;
-  for (auto& p : parts_) {
-    std::swap(p->index, p->staging_index);
-    std::swap(p->slab, p->staging_slab);
-    p->staging_index.clear();
+  for (Chunk& ch : chunks_) {
+    std::swap(ch.index, ch.staging_index);
+    std::swap(ch.rows, ch.staging_rows);
+    ch.staging_index.clear();
   }
   refreshing_ = false;
 }
 
 std::size_t RowCache::resident_rows() const {
   std::size_t total = 0;
-  for (const auto& p : parts_) total += p->index.size();
+  for (const Chunk& ch : chunks_) total += ch.index.size();
   return total;
 }
 

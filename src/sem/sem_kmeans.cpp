@@ -116,16 +116,8 @@ Result kmeans(const std::string& path, const Options& opts,
   PageCache page_cache(sem_opts.page_cache_bytes, sem_opts.page_size, T);
   IoEngine engine(file, page_cache, sem_opts.io_threads,
                   sem_opts.merge_gap_pages);
-  const bool use_rc = sem_opts.row_cache_enabled &&
-                      sem_opts.row_cache_bytes > 0;
-  RowCache row_cache(use_rc ? sem_opts.row_cache_bytes : 1, d, T);
-  row_cache.set_update_interval(sem_opts.cache_update_interval);
-
   ScopedAlloc mem_pc("sem-page-cache",
                      page_cache.capacity_pages() * sem_opts.page_size);
-  ScopedAlloc mem_rc("sem-row-cache",
-                     use_rc ? row_cache.capacity_rows() * d * sizeof(value_t)
-                            : 0);
 
   Result res;
   res.assignments.assign(static_cast<std::size_t>(n), kInvalidCluster);
@@ -185,6 +177,16 @@ Result kmeans(const std::string& path, const Options& opts,
       sched::Scheduler::resolve_task_size(n, opts.task_size);
   const auto chunks =
       static_cast<std::size_t>(sched::Scheduler::num_chunks(n, task_size));
+
+  // The row cache is partitioned over the same chunk grid, so what it
+  // holds is independent of steal order (row_cache.hpp).
+  const bool use_rc = sem_opts.row_cache_enabled &&
+                      sem_opts.row_cache_bytes > 0;
+  RowCache row_cache(use_rc ? sem_opts.row_cache_bytes : 0, d, chunks);
+  row_cache.set_update_interval(sem_opts.cache_update_interval);
+  ScopedAlloc mem_rc("sem-row-cache",
+                     use_rc ? row_cache.capacity_rows() * d * sizeof(value_t)
+                            : 0);
 
   // Per-chunk membership deltas, applied to the persistent sums in chunk
   // order: like knori, the accumulation is keyed to the (n, task_size)
@@ -267,12 +269,12 @@ Result kmeans(const std::string& path, const Options& opts,
       // Row-cache pass: serve hits immediately, queue the rest.
       to_fetch.clear();
       for (index_t r : needed) {
-        const int home = parts.thread_of_row(r);
-        const value_t* cached = use_rc ? row_cache.lookup(home, r) : nullptr;
+        const value_t* cached =
+            use_rc ? row_cache.lookup(task.chunk, r) : nullptr;
         if (cached != nullptr) {
           ++pt.rc_hits;
           process_row(tid, task.chunk, r, cached);
-          if (refresh_mode) row_cache.offer(home, r, cached);
+          if (refresh_mode) row_cache.offer(task.chunk, r, cached);
         } else {
           to_fetch.push_back(r);
         }
@@ -302,8 +304,7 @@ Result kmeans(const std::string& path, const Options& opts,
           const index_t r = fetch_now[i];
           const value_t* v = buf_now.row(static_cast<index_t>(i));
           process_row(tid, task.chunk, r, v);
-          if (refresh_mode && use_rc)
-            row_cache.offer(parts.thread_of_row(r), r, v);
+          if (refresh_mode) row_cache.offer(task.chunk, r, v);
         }
         ticket.wait();
         std::swap(fetch_now, fetch_next);
@@ -315,6 +316,18 @@ Result kmeans(const std::string& path, const Options& opts,
   for (int it = start_iter; it < opts.max_iters; ++it) {
     WallTimer timer;
     pack.pack(cur);
+    if (use_rc && row_cache.refresh_due(it + 1)) {
+      // Plan the row cache's quotas from this iteration's clause-1
+      // survivors per chunk (the workers' pass 1, without side effects).
+      std::vector<std::size_t> active(chunks, 0);
+      for (index_t r = 0; r < n; ++r) {
+        const cluster_t a = res.assignments[r];
+        if (!opts.prune || a == kInvalidCluster ||
+            !mti.clause1(a, mti.ub(r) + mti.drift(a)))
+          ++active[static_cast<std::size_t>(r / task_size)];
+      }
+      row_cache.plan(active);
+    }
     refresh_mode = use_rc && row_cache.begin_iteration(it + 1) ==
                                  RowCache::Mode::kRefresh;
     sched.begin_chunks(n, task_size, &parts);

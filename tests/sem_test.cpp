@@ -8,12 +8,16 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <numeric>
+#include <thread>
 
 #include "core/knori.hpp"
 #include "data/generator.hpp"
 #include "data/matrix_io.hpp"
+#include "obs/registry.hpp"
 #include "sem/io_engine.hpp"
 #include "sem/page_cache.hpp"
 #include "sem/page_file.hpp"
@@ -40,6 +44,16 @@ class SemTest : public ::testing::Test {
   }
   std::filesystem::path dir_;
 };
+
+/// True when `out` holds exactly the rows `rows` of `m`, byte for byte.
+bool rows_match(const DenseMatrix& m, const std::vector<index_t>& rows,
+                const value_t* out) {
+  const std::size_t row_bytes = m.cols() * sizeof(value_t);
+  for (std::size_t i = 0; i < rows.size(); ++i)
+    if (std::memcmp(out + i * m.cols(), m.row(rows[i]), row_bytes) != 0)
+      return false;
+  return true;
+}
 
 TEST_F(SemTest, PageFileGeometry) {
   data::GeneratorSpec spec;
@@ -278,6 +292,176 @@ TEST_F(SemTest, PageCacheCountsEachStagedPageOnce) {
   EXPECT_EQ(cache.hits(), 0u);
 }
 
+// --- the one-pass fetch path ------------------------------------------------
+// Each case compares fetch_rows output byte for byte with data::generate.
+
+// Needed pages 5 apart with merge_gap 4 merge into one extent; three
+// resident pages split it into four. Gap pages are read (the device bytes
+// count them) but never copied: a sentinel row past the output stays
+// untouched.
+TEST_F(SemTest, FetchMixesResidentAndMissingPagesAcrossMergeGaps) {
+  data::GeneratorSpec spec;
+  spec.n = 3000;
+  spec.d = 8;  // 64B rows, 8 per 512B page; row r is on page (r + 1) / 8
+  const std::string p = make_matrix(spec);
+  const DenseMatrix m = data::generate(spec);
+  PageFile file(p, 512);
+  PageCache cache(1 << 20, 512, 3);
+  IoEngine engine(file, cache, 1, /*merge_gap=*/4);
+  std::vector<index_t> rows;  // rows 40g..40g+2 all lie on page 5g
+  for (index_t r = 0; r < 3000; ++r)
+    if (r % 40 < 3) rows.push_back(r);
+  ASSERT_EQ(file.last_page_of_row(rows.back()), 370u);
+
+  std::vector<value_t> out((rows.size() + 1) * 8, -7.25);
+  for (const index_t g : {10, 30, 50})  // pages 50, 150, 250 resident
+    engine.fetch_rows({static_cast<index_t>(40 * g)}, out.data());
+  cache.reset_stats();
+  file.reset_stats();
+
+  engine.fetch_rows(rows, out.data());
+  EXPECT_TRUE(rows_match(m, rows, out.data()));
+  for (std::size_t j = rows.size() * 8; j < out.size(); ++j)
+    EXPECT_EQ(out[j], -7.25);
+  EXPECT_EQ(cache.hits(), 3u);
+  EXPECT_EQ(cache.misses(), 72u);
+  // Extents [0,45], [55,145], [155,245], [255,370].
+  EXPECT_EQ(file.read_requests(), 4u);
+  EXPECT_EQ(file.bytes_read(), (46u + 91 + 91 + 116) * 512);
+
+  // Warm: every needed page is served from its frame.
+  std::fill(out.begin(), out.end(), -7.25);
+  file.reset_stats();
+  engine.fetch_rows(rows, out.data());
+  EXPECT_TRUE(rows_match(m, rows, out.data()));
+  EXPECT_EQ(file.read_requests(), 0u);
+}
+
+// One frame per partition, far fewer than the batch's extent needs: most
+// pages get no frame and are served from the extent just read.
+TEST_F(SemTest, FetchThroughOneFramePerPartition) {
+  data::GeneratorSpec spec;
+  spec.n = 1500;
+  spec.d = 8;
+  const std::string p = make_matrix(spec);
+  const DenseMatrix m = data::generate(spec);
+  PageFile file(p, 512);
+  PageCache cache(2 * 512, 512, 2);
+  ASSERT_EQ(cache.capacity_pages(), 2u);
+  IoEngine engine(file, cache, 1);
+  std::vector<index_t> all(1500), sparse;
+  std::iota(all.begin(), all.end(), 0);
+  for (index_t r = 3; r < 1500; r += 7) sparse.push_back(r);
+  DenseMatrix out(1500, 8);
+  for (int round = 0; round < 3; ++round) {
+    for (const auto* rows : {&all, &sparse}) {
+      engine.fetch_rows(*rows, out.data());
+      EXPECT_TRUE(rows_match(m, *rows, out.data())) << round;
+    }
+  }
+  engine.prefetch(sparse).wait();
+  engine.fetch_rows(sparse, out.data());
+  EXPECT_TRUE(rows_match(m, sparse, out.data()));
+}
+
+// Rows that straddle page boundaries behind the 64-byte file header: 40B
+// rows (d = 5), 264B rows (d = 33) and rows longer than a page (d = 97).
+TEST_F(SemTest, FetchRowsStraddlingPagesBehindHeader) {
+  for (const index_t d : {5u, 33u, 97u}) {
+    data::GeneratorSpec spec;
+    spec.n = 700;
+    spec.d = d;
+    const std::string p = make_matrix(spec, "d" + std::to_string(d) + ".kmat");
+    const DenseMatrix m = data::generate(spec);
+    PageFile file(p, 512);
+    PageCache cache(8 * 512, 512, 2);
+    IoEngine engine(file, cache, 1);
+    std::vector<index_t> all(700), odd, picked;
+    std::iota(all.begin(), all.end(), 0);
+    for (index_t r = 1; r < 700; r += 2) odd.push_back(r);
+    std::uint64_t state = 99;
+    for (index_t r = 0; r < 700; ++r) {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      if ((state >> 60) < 5) picked.push_back(r);
+    }
+    DenseMatrix out(700, d);
+    for (const auto* rows : {&all, &odd, &picked, &odd, &all}) {
+      engine.fetch_rows(*rows, out.data());
+      EXPECT_TRUE(rows_match(m, *rows, out.data())) << "d=" << d;
+    }
+  }
+}
+
+// Four workers fetch overlapping row sets while the I/O threads stage
+// prefetch tickets on the same pages, through a cache small enough that
+// frames are claimed, evicted and republished all the time.
+TEST_F(SemTest, ConcurrentFetchesAndPrefetchesShareThePageCache) {
+  data::GeneratorSpec spec;
+  spec.n = 4000;
+  spec.d = 6;
+  const std::string p = make_matrix(spec);
+  const DenseMatrix m = data::generate(spec);
+  PageFile file(p, 512);
+  PageCache cache(16 * 512, 512, 4);
+  IoEngine engine(file, cache, 2);
+  std::atomic<int> bad{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 4; ++t) {
+    workers.emplace_back([&, t] {
+      DenseMatrix out(4000, 6);
+      for (int round = 0; round < 20; ++round) {
+        std::vector<index_t> rows, next;
+        const index_t stride = static_cast<index_t>(1 + (t + round) % 4);
+        for (index_t r = static_cast<index_t>(t * 300); r < 4000; r += stride)
+          rows.push_back(r);
+        for (index_t r = static_cast<index_t>(round * 100); r < 4000; r += 3)
+          next.push_back(r);
+        IoEngine::Ticket ticket = engine.prefetch(next);
+        engine.fetch_rows(rows, out.data());
+        if (!rows_match(m, rows, out.data())) ++bad;
+        ticket.wait();
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(bad.load(), 0);
+}
+
+// ProfileEvents-style: sem.device_read_us records one sample per device
+// request — a cold fetch over three merged extents records three, a warm
+// repeat none.
+TEST_F(SemTest, DeviceReadHistogramCountsExtents) {
+#ifdef KNOR_NO_OBS
+  GTEST_SKIP() << "metrics compiled out";
+#endif
+  data::GeneratorSpec spec;
+  spec.n = 1000;
+  spec.d = 8;
+  const std::string p = make_matrix(spec);
+  PageFile file(p, 512);
+  PageCache cache(1 << 20, 512, 2);
+  IoEngine engine(file, cache, 1);
+  std::vector<index_t> rows;  // pages {0,1}, {25,26}, {62,63}
+  for (const index_t base : {0u, 200u, 500u})
+    for (index_t r = base; r < base + 10; ++r) rows.push_back(r);
+  DenseMatrix out(static_cast<index_t>(rows.size()), 8);
+  obs::Registry& reg = obs::Registry::global();
+  const auto samples = [&](const obs::Snapshot& before) {
+    const obs::Snapshot slice = obs::diff(before, reg.snapshot());
+    const obs::Metric* h = slice.find("sem.device_read_us");
+    return h == nullptr ? std::uint64_t{0} : h->hist.count;
+  };
+
+  obs::Snapshot before = reg.snapshot();
+  engine.fetch_rows(rows, out.data());  // cold
+  EXPECT_EQ(file.read_requests(), 3u);
+  EXPECT_EQ(samples(before), 3u);
+
+  before = reg.snapshot();
+  engine.fetch_rows(rows, out.data());  // warm
+  EXPECT_EQ(samples(before), 0u);
+}
+
 TEST(RowCacheTest, LazyRefreshSchedule) {
   RowCache rc(1 << 16, 8, 2);
   rc.set_update_interval(5);
@@ -453,6 +637,48 @@ TEST_F(SemTest, RowCacheReducesBytesRead) {
   std::uint64_t hits = 0;
   for (const auto& iter : rc_stats.per_iter) hits += iter.row_cache_hits;
   EXPECT_GT(hits, 0u);
+}
+
+// Row-cache admission is a pure function of (data, opts): the
+// abl_cache_interval I_cache = 2 configuration (n = 2000, d = 32, k = 10,
+// T = 4) reads one hit count on every run, under work stealing and under
+// the static policy alike.
+TEST_F(SemTest, RowCacheHitsIndependentOfScheduling) {
+  data::GeneratorSpec spec;
+  spec.dist = data::Distribution::kNaturalClusters;
+  spec.n = 2000;
+  spec.d = 32;
+  spec.true_clusters = 128;
+  spec.power_law_alpha = 1.5;
+  spec.separation = 8.0;
+  spec.seed = 1332;
+  const std::string p = make_matrix(spec);
+  SemOptions sopts;
+  sopts.page_cache_bytes = 1 << 20;
+  sopts.row_cache_bytes = spec.bytes() / 8;
+  sopts.cache_update_interval = 2;
+  std::vector<std::uint64_t> counts;
+  for (const sched::SchedPolicy policy : {sched::SchedPolicy::kNumaAware,
+                                   sched::SchedPolicy::kStatic}) {
+    for (int run = 0; run < 20; ++run) {
+      Options opts;
+      opts.k = 10;
+      opts.threads = 4;
+      opts.max_iters = 40;
+      opts.seed = 42;
+      opts.sched = policy;
+      SemStats stats;
+      const Result res = kmeans(p, opts, sopts, &stats);
+      std::uint64_t hits = 0;
+      for (const auto& it : stats.per_iter) hits += it.row_cache_hits;
+      EXPECT_EQ(static_cast<std::uint64_t>(
+                    res.metrics.value_or("sem.row_cache_hits", -1)),
+                hits);
+      counts.push_back(hits);
+    }
+  }
+  EXPECT_GT(counts.front(), 0u);
+  for (const std::uint64_t c : counts) EXPECT_EQ(c, counts.front());
 }
 
 TEST_F(SemTest, ActiveRowsShrinkOverIterations) {
