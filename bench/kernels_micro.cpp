@@ -106,6 +106,61 @@ void run(Context& ctx) {
           .label("arg", "k=" + std::to_string(k) + tag)
           .timing("ns_per_op", ns);
     }
+    // The knord-uniform shape (k=256, d=16), one row after another from a
+    // pool: the winner moves from row to row as it does in a fit.
+    {
+      const index_t d = 16, pool = 1024;
+      const DenseMatrix rows = make_data(pool, d);
+      const DenseMatrix centroids = make_data(256, d);
+      kernels::CentroidPack pack;
+      pack.pack(centroids);
+      value_t sq_out = 0;
+      index_t r = 0;
+      const TimingAgg ns = per_op_ns(ctx, base / 8, [&] {
+        g_sink = ops.nearest_blocked(rows.row(r), pack, &sq_out);
+        r = r + 1 == pool ? 0 : r + 1;
+      });
+      ctx.row().label("kernel", "nearest_blocked")
+          .label("arg", "k=256 d=16" + tag)
+          .timing("ns_per_op", ns);
+    }
+    // The MTI survivor scan: each pool row against its nearest centroid a
+    // (the incumbent) and a prefix of a's MtiState-sorted neighbour list —
+    // 24 candidates at k=64 d=32 (a clustered fit's short prefix) and the
+    // whole list at k=256 d=16 (uniform data, where nothing prunes).
+    struct SubsetShape {
+      int k;
+      index_t d;
+      int prefix;
+    };
+    for (const SubsetShape sh : {SubsetShape{64, 32, 24},
+                                 SubsetShape{256, 16, 255}}) {
+      const index_t pool = 1024;
+      const DenseMatrix rows = make_data(pool, sh.d);
+      const DenseMatrix centroids =
+          make_data(static_cast<index_t>(sh.k), sh.d);
+      kernels::CentroidPack pack;
+      pack.pack(centroids);
+      MtiState mti(pool, sh.k);
+      mti.prepare(DenseMatrix(), centroids, ops);
+      std::vector<cluster_t> near(pool);
+      std::vector<value_t> near_sq(pool);
+      for (index_t i = 0; i < pool; ++i)
+        near[i] = ops.nearest_blocked(rows.row(i), pack, &near_sq[i]);
+      index_t r = 0;
+      const TimingAgg ns = per_op_ns(ctx, base / 8, [&] {
+        value_t sq = near_sq[r];
+        g_sink = ops.nearest_subset(rows.row(r), pack,
+                                    mti.neighbours(near[r]), sh.prefix,
+                                    near[r], &sq);
+        r = r + 1 == pool ? 0 : r + 1;
+      });
+      ctx.row().label("kernel", "nearest_subset")
+          .label("arg", "k=" + std::to_string(sh.k) +
+                            " d=" + std::to_string(sh.d) +
+                            " L=" + std::to_string(sh.prefix) + tag)
+          .timing("ns_per_op", ns);
+    }
   }
 
   {

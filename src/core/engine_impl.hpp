@@ -1,6 +1,9 @@
 // The ||Lloyd's parallel engine (paper Algorithm 1 + §5 optimizations),
 // templated over a data source so the same code drives:
-//   * NumaData — rows partitioned across NUMA-node-local blocks (knori),
+//   * NumaData — rows partitioned across NUMA-node-local blocks (knori on
+//     a host with several physical nodes),
+//   * PartitionedView — the caller's rows in place under the same
+//     partition's node map (knori on a single-node host),
 //   * FlatData — one contiguous NUMA-oblivious allocation (the Figure 4
 //     baseline).
 //
@@ -35,6 +38,7 @@
 #include "core/local_centroids.hpp"
 #include "core/mti.hpp"
 #include "core/run_metrics.hpp"
+#include "data/dataset.hpp"
 #include "numa/cost_model.hpp"
 #include "numa/partitioner.hpp"
 #include "obs/registry.hpp"
@@ -49,6 +53,24 @@ struct FlatData {
   ConstMatrixView m;
   const value_t* row(index_t r) const { return m.row(r); }
   int node_of_row(index_t) const { return 0; }
+};
+
+/// NUMA-partitioned data adapter: each thread block lives on its own
+/// node, in a data::NumaDataset copy of the input.
+struct NumaData {
+  const data::NumaDataset* ds;
+  const value_t* row(index_t r) const { return ds->row(r); }
+  int node_of_row(index_t r) const { return ds->node_of_row(r); }
+};
+
+/// The caller's rows in place, owned by nodes as `parts` assigns the
+/// thread blocks — the same rows, node map, local/remote counts and
+/// emulated remote penalty as NumaData over a copy, without the copy.
+struct PartitionedView {
+  ConstMatrixView m;
+  const numa::Partitioner* parts;
+  const value_t* row(index_t r) const { return m.row(r); }
+  int node_of_row(index_t r) const { return parts->node_of_row(r); }
 };
 
 struct alignas(kCacheLine) PerThread {

@@ -43,6 +43,21 @@ cluster_t scalar_nearest_blocked(const value_t* point,
   return best;
 }
 
+/// The subset winner rule: the smaller squared distance wins; the
+/// incumbent `keep` wins every tie; among listed candidates the lower id
+/// wins a tie, whatever the list order. (The vector tables reach the same
+/// winner in registers, vec_impl.hpp.)
+inline void offer_subset(value_t dist, cluster_t id, cluster_t keep,
+                         cluster_t& best, value_t& best_sq) {
+  // The leading `<=` is the only test on the common (losing) path, so the
+  // hot loop costs what nearest_blocked's plain `<` does.
+  if (dist <= best_sq &&
+      (dist < best_sq || (best != keep && id < best))) {
+    best_sq = dist;
+    best = id;
+  }
+}
+
 // Same per-id dist_sq as the legacy scan, over the listed ids only.
 cluster_t scalar_nearest_subset(const value_t* point, const CentroidPack& pack,
                                 const cluster_t* ids, int count,

@@ -20,6 +20,22 @@
 //    (dist_sq to the assigned centroid + subset scan) in exact agreement
 //    with the full-scan path (blocked) — pruned vs. unpruned runs stay
 //    bitwise-equal under any ISA.
+//  * A tile is one vector of distances: 8 centroids on AVX-512, 4 on AVX2
+//    and on SSE2 (as two 2-lane vectors). Its sums are reduced TRANSPOSED
+//    — shuffles and adds across the tile's accumulators — under each
+//    lane's exact hsum association: on AVX-512 (lo256 + hi256), then
+//    (u0 + u1) + (u2 + u3), in three stages whose lane order
+//    (0,2,1,3,4,6,5,7) is undone by feeding the sums in that order; on
+//    AVX2 (v0 + v1) + (v2 + v3); on SSE2 v0 + v1. The argmin then stays in
+//    registers: per-lane (distance, id) vectors, taken with a strict '<'
+//    in the blocked scan (ids ascend within a lane) and with the
+//    lexicographic (distance, id) order in the subset scan, and one
+//    cross-lane fold at the end — the smallest distance, then the lowest
+//    id holding it; in the subset scan the incumbent wins a tie with that.
+//    So the winner is the per-centroid scan's: the lowest id among the
+//    minimal distances; a NaN never wins; an all-NaN / all-inf scan
+//    returns centroid 0 at +inf (blocked) or the incumbent untouched
+//    (subset).
 //  * Isa::kScalar is the legacy reference in core/distance.hpp, bit-for-
 //    bit: `--simd scalar` reproduces the pre-SIMD clusterings of every
 //    Lloyd-family engine exactly. (Two call sites were normalized in the
@@ -127,7 +143,8 @@ struct Ops {
                        index_t d, value_t* out_sq) = nullptr;
   /// Blocked argmin over a CentroidPack: streams the point once against
   /// register-blocked tiles of centroids. Bitwise-identical result to k
-  /// independent dist_sq calls (see the header comment).
+  /// independent dist_sq calls (see the header comment): ties -> lowest
+  /// index; no finite distance (all NaN / +inf, or k == 0) -> 0 at +inf.
   cluster_t (*nearest_blocked)(const value_t* point, const CentroidPack& pack,
                                value_t* out_sq) = nullptr;
   /// Subset argmin over a CentroidPack — the MTI survivor scan: evaluates

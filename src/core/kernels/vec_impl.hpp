@@ -11,17 +11,40 @@
 //    flow, so results are bitwise stable run to run.
 //
 //  * nearest_blocked_t runs the SAME per-centroid schedule for a tile of
-//    kTile centroids at once, sharing each point chunk across the tile.
-//    Per centroid it issues the identical FP operation sequence into its
-//    own acc0/acc1 pair, so every blocked distance is bitwise EQUAL to
-//    dist_sq_t on that centroid row. The tile only buys locality and ILP:
-//    the point chunk is loaded once per tile instead of once per centroid,
-//    and kTile independent FMA chains keep the pipeline full.
+//    Traits::kTile centroids at once (8 on AVX-512, 4 on AVX2 and SSE2),
+//    sharing each point chunk across the tile. Per centroid it issues the
+//    identical FP operation sequence into its own acc0/acc1 pair, and
+//    reduce_tile transposes the tile's kTile sums into ONE vector of
+//    distances whose lane t is bitwise EQUAL to hsum of sum t — the same
+//    association as hsum, only batched across accumulators. So every
+//    blocked distance is bitwise EQUAL to dist_sq_t on that centroid row.
+//    The tile only buys locality and ILP: the point chunk is loaded once
+//    per tile instead of once per centroid, and 2*kTile independent FMA
+//    chains keep the pipeline full.
 //
-//  * nearest_subset_t runs the SAME tile body (tile_dist_sq_t) over a list
-//    of centroid ids instead of the whole pack — the MTI survivor scan
-//    over a sorted candidate prefix — so its distances are bitwise equal
-//    to dist_sq_t as well.
+//  * The argmin never leaves the registers: running per-lane (best_sq,
+//    best_id) vectors take a tile's distances with a masked compare and
+//    select, and one cross-lane reduction (lexmin) runs per call — the
+//    smallest distance, then the lowest id among the lanes holding it.
+//    The blocked scan takes a lane with a strict '<' (ids ascend within a
+//    lane, so each lane keeps its lowest tying id); the subset scan takes
+//    on the lexicographic (distance, id) order, since its list is in
+//    neighbour order, not id order. Either way the winner is the lowest
+//    id among the minimal distances, as the per-centroid scan picks it.
+//    A NaN distance fails every ordered compare and never wins; ids ride
+//    in double lanes, exact for every int k.
+//
+//  * nearest_subset_t runs the SAME tile body over a list of centroid ids
+//    instead of the whole pack — the MTI survivor scan over a sorted
+//    candidate prefix — so its distances are bitwise equal to dist_sq_t
+//    as well; the incumbent then wins a tie against the listed winner.
+//
+//  * The k % kTile (count % kTile) remainder runs as one more tile —
+//    a half tile (reduce_half: the same reduction for kTile/2 sums) when
+//    at most half a tile remains — whose dead lanes repeat a live row and
+//    are masked to +inf (mask_tail). No per-centroid tail, no second
+//    winner rule. The subset scan skips the fold when no lane is strictly
+//    nearer than the incumbent, which then keeps the point.
 //
 //  * The masked partial chunk masks the POINT load; the centroid side is a
 //    full-width aligned load whose padding lanes the CentroidPack
@@ -42,12 +65,30 @@
 //   static vec mul_fma(vec a, vec b, vec acc);   // acc + a*b
 //   static vec add(vec, vec);
 //   static value_t hsum(vec);       // fixed reduction tree
-//   static void reduce_tile(const vec s[kTile], value_t out[kTile]);
-//     // out[t] must be bitwise == hsum(s[t]); a Traits may batch the
-//     // four reductions with shuffles as long as the per-accumulator
-//     // ASSOCIATION matches its hsum exactly
 //   static vec broadcast(value_t);             // splat one scalar
 //   static void storeu(value_t*, vec);         // unaligned full store
+// and for the argmin epilogue:
+//   using dvec;                     // kTile distances (or ids), one lane each
+//   static constexpr int kTile;     // centroids per tile
+//   static dvec reduce_tile(const vec s[kTile]);
+//     // lane t bitwise == hsum(s[t]): the per-accumulator ASSOCIATION
+//     // must match hsum exactly
+//   static dvec reduce_half(const vec s[kTile / 2]);
+//     // lanes t < kTile/2 as reduce_tile, the rest don't-care
+//   static dvec mask_tail(dvec d, int live);  // lanes >= live read +inf
+//   static dvec splat(value_t);
+//   static dvec iota(value_t base);            // lane t = base + t
+//   static dvec load_ids(const cluster_t*, int n);
+//     // n in [1, kTile] ids, as doubles, reading no further; lanes >= n
+//     // are don't-care
+//   static void take_less(dvec d, dvec id, dvec& best, dvec& best_id);
+//     // per lane: take (d, id) where d < best; ids passed to it ascend
+//     // per lane (the blocked scan), which a Traits may exploit
+//   static void take_lex(dvec d, dvec id, dvec& best, dvec& best_id);
+//     // per lane: take where (d, id) < (best, best_id) lexicographically
+//   static cluster_t lexmin(dvec best, dvec best_id, value_t* best_sq);
+//     // min lane distance, then the lowest id among the lanes holding it
+//   static bool any_below(dvec best, value_t x);  // some lane < x
 //
 //  * gemm_argmin_t (DESIGN.md §12) needs no horizontal reduction at all:
 //    each lane of a panel column line IS one centroid, so a lane's
@@ -67,11 +108,6 @@
 #include "core/kernels/simd.hpp"
 
 namespace knor::kernels::detail {
-
-/// Centroids per register-blocked tile. 4 keeps the working set at
-/// 8 accumulators + 2 point chunks, inside even the 16-register SSE/AVX
-/// file, while giving 8 independent FMA chains.
-inline constexpr int kTile = 4;
 
 template <class V>
 value_t dist_sq_t(const value_t* a, const value_t* b, index_t d) {
@@ -126,16 +162,21 @@ cluster_t nearest_t(const value_t* point, const value_t* centroids, int k,
   return best;
 }
 
-/// Squared distances from `point` to the kTile pack rows `rows`: the
-/// per-centroid schedule of dist_sq_t run for the whole tile at once, so
-/// out[t] is bitwise EQUAL to dist_sq_t(point, rows[t], d). The shared tile
-/// body of the blocked (all centroids) and subset (a listed few) kernels.
-template <class V>
-[[gnu::always_inline]] inline void tile_dist_sq_t(
-    const value_t* point, const value_t* const rows[kTile], index_t d,
-    value_t out[kTile]) {
-  typename V::vec acc0[kTile], acc1[kTile];
-  for (int t = 0; t < kTile; ++t) {
+/// Squared distances from `point` to the N pack rows `rows` as one dvec:
+/// the per-centroid schedule of dist_sq_t run for N rows at once, then the
+/// transposed reduction, so lane t is bitwise EQUAL to
+/// dist_sq_t(point, rows[t], d). N is the full tile or its half. The
+/// shared tile body of the blocked (all centroids) and subset (a listed
+/// few) kernels.
+template <class V, int N>
+[[gnu::always_inline]] inline typename V::dvec tile_dist_sq_t(
+    const value_t* point, const value_t* const rows[N], index_t d) {
+  // Every per-centroid loop is unrolled completely and early, so each
+  // accumulator is a register from the start (a zero-fill loop left rolled
+  // can become a memset that pins the accumulators to the stack).
+  typename V::vec acc0[N], acc1[N];
+#pragma GCC unroll 16
+  for (int t = 0; t < N; ++t) {
     acc0[t] = V::zero();
     acc1[t] = V::zero();
   }
@@ -143,14 +184,16 @@ template <class V>
   for (; j + 2 * V::kW <= d; j += 2 * V::kW) {
     const typename V::vec p0 = V::loadu(point + j);
     const typename V::vec p1 = V::loadu(point + j + V::kW);
-    for (int t = 0; t < kTile; ++t) {
+#pragma GCC unroll 16
+    for (int t = 0; t < N; ++t) {
       acc0[t] = V::diff_fma(p0, V::load(rows[t] + j), acc0[t]);
       acc1[t] = V::diff_fma(p1, V::load(rows[t] + j + V::kW), acc1[t]);
     }
   }
   if (j + V::kW <= d) {
     const typename V::vec p0 = V::loadu(point + j);
-    for (int t = 0; t < kTile; ++t)
+#pragma GCC unroll 16
+    for (int t = 0; t < N; ++t)
       acc0[t] = V::diff_fma(p0, V::load(rows[t] + j), acc0[t]);
     j += V::kW;
   }
@@ -158,69 +201,87 @@ template <class V>
     // Point masked, centroid full-width: the pack's zero padding makes
     // the dead lanes contribute exactly nothing (see header comment).
     const typename V::vec pp = V::load_partial(point + j, d - j);
-    for (int t = 0; t < kTile; ++t)
+#pragma GCC unroll 16
+    for (int t = 0; t < N; ++t)
       acc1[t] = V::diff_fma(pp, V::load(rows[t] + j), acc1[t]);
   }
-  typename V::vec sums[kTile];
-  for (int t = 0; t < kTile; ++t) sums[t] = V::add(acc0[t], acc1[t]);
-  V::reduce_tile(sums, out);  // out[t] bitwise == hsum(sums[t])
+  typename V::vec sums[N];
+#pragma GCC unroll 16
+  for (int t = 0; t < N; ++t) sums[t] = V::add(acc0[t], acc1[t]);
+  if constexpr (N == V::kTile)
+    return V::reduce_tile(sums);
+  else
+    return V::reduce_half(sums);
+}
+
+/// The k % kTile (count % kTile) remainder of a scan: `live` in [1, kTile)
+/// rows run as one more tile — a half tile when at most half a tile
+/// remains — whose rows past `live` repeat rows[0] and read +inf, so they
+/// never win; live lanes keep dist_sq_t's bits.
+template <class V>
+[[gnu::always_inline]] inline typename V::dvec tail_dist_sq_t(
+    const value_t* point, const value_t* const rows[V::kTile], index_t d,
+    int live) {
+  if (live > V::kTile / 2)
+    return V::mask_tail(tile_dist_sq_t<V, V::kTile>(point, rows, d), live);
+  return V::mask_tail(tile_dist_sq_t<V, V::kTile / 2>(point, rows, d), live);
 }
 
 template <class V>
 cluster_t nearest_blocked_t(const value_t* point, const CentroidPack& pack,
                             value_t* out_sq) {
+  constexpr int kTile = V::kTile;
   const int k = pack.k();
   const index_t d = pack.d();
-  cluster_t best = 0;
-  value_t best_sq = std::numeric_limits<value_t>::infinity();
+  typename V::dvec best = V::splat(std::numeric_limits<value_t>::infinity());
+  typename V::dvec best_id = V::splat(0);
   int c = 0;
   for (; c + kTile <= k; c += kTile) {
     const value_t* rows[kTile];
     for (int t = 0; t < kTile; ++t) rows[t] = pack.row(c + t);
-    value_t dist[kTile];
-    tile_dist_sq_t<V>(point, rows, d, dist);
-    for (int t = 0; t < kTile; ++t) {
-      if (dist[t] < best_sq) {
-        best_sq = dist[t];
-        best = static_cast<cluster_t>(c + t);
-      }
-    }
+    V::take_less(tile_dist_sq_t<V, kTile>(point, rows, d), V::iota(c), best,
+                 best_id);
   }
-  // Remainder centroids (k % kTile): the per-centroid schedule on the
-  // padded rows — same bits as dist_sq_t on the original rows.
-  for (; c < k; ++c) {
-    const value_t dc = dist_sq_t<V>(point, pack.row(c), d);
-    if (dc < best_sq) {
-      best_sq = dc;
-      best = static_cast<cluster_t>(c);
-    }
+  if (const int live = k - c; live > 0) {
+    const value_t* rows[kTile];
+    for (int t = 0; t < kTile; ++t) rows[t] = pack.row(t < live ? c + t : c);
+    V::take_less(tail_dist_sq_t<V>(point, rows, d, live), V::iota(c), best,
+                 best_id);
   }
+  value_t best_sq;
+  const cluster_t winner = V::lexmin(best, best_id, &best_sq);
   if (out_sq != nullptr) *out_sq = best_sq;
-  return best;
+  return winner;
 }
 
 template <class V>
 cluster_t nearest_subset_t(const value_t* point, const CentroidPack& pack,
                            const cluster_t* ids, int count, cluster_t keep,
                            value_t* io_sq) {
+  constexpr int kTile = V::kTile;
   const index_t d = pack.d();
-  cluster_t best = keep;
-  value_t best_sq = *io_sq;
+  typename V::dvec best = V::splat(std::numeric_limits<value_t>::infinity());
+  typename V::dvec best_id = V::splat(0);
   int i = 0;
   for (; i + kTile <= count; i += kTile) {
     const value_t* rows[kTile];
     for (int t = 0; t < kTile; ++t)
       rows[t] = pack.row(static_cast<int>(ids[i + t]));
-    value_t dist[kTile];
-    tile_dist_sq_t<V>(point, rows, d, dist);
-    for (int t = 0; t < kTile; ++t)
-      offer_subset(dist[t], ids[i + t], keep, best, best_sq);
+    V::take_lex(tile_dist_sq_t<V, kTile>(point, rows, d),
+                V::load_ids(ids + i, kTile), best, best_id);
   }
-  for (; i < count; ++i)
-    offer_subset(dist_sq_t<V>(point, pack.row(static_cast<int>(ids[i])), d),
-                 ids[i], keep, best, best_sq);
-  *io_sq = best_sq;
-  return best;
+  if (const int live = count - i; live > 0) {
+    const value_t* rows[kTile];
+    for (int t = 0; t < kTile; ++t)
+      rows[t] = pack.row(static_cast<int>(ids[t < live ? i + t : i]));
+    V::take_lex(tail_dist_sq_t<V>(point, rows, d, live),
+                V::load_ids(ids + i, live), best, best_id);
+  }
+  // The incumbent wins a tie, so unless some lane is strictly nearer (not
+  // so after an empty list: every lane is +inf) it keeps the point and
+  // the fold is skipped; otherwise the fold's winner is strictly nearer.
+  if (!V::any_below(best, *io_sq)) return keep;
+  return V::lexmin(best, best_id, io_sq);
 }
 
 /// Data rows per register block of the fused GEMM kernel: 4 rows x

@@ -9,6 +9,13 @@
 // The NUMA-oblivious baseline instead keeps one contiguous allocation
 // placed wherever the allocating thread's first-touch put it, which is
 // exactly the malloc behaviour the paper blames (§8.4).
+//
+// knori copies a caller's matrix into a NumaDataset only on a host with
+// more than one physical NUMA node, where the copy is the placement. On a
+// single-node host a copy cannot move any row, so knori runs over the
+// caller's rows in place (detail::PartitionedView), with the same
+// partition and node map — simulated topologies keep their local/remote
+// accounting.
 #pragma once
 
 #include <memory>

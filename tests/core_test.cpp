@@ -4,16 +4,21 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "common/prng.hpp"
 #include "core/distance.hpp"
+#include "core/engine_impl.hpp"
 #include "core/engines.hpp"
 #include "core/init.hpp"
 #include "core/knori.hpp"
 #include "core/local_centroids.hpp"
 #include "core/mti.hpp"
+#include "data/dataset.hpp"
 #include "data/generator.hpp"
+#include "numa/partitioner.hpp"
+#include "numa/topology.hpp"
 
 namespace knor {
 namespace {
@@ -434,6 +439,65 @@ TEST(Knori, CountersAreConsistent) {
   EXPECT_GT(res.counters.clause1_skips, 0u);
   // Scheduler stats cover all tasks.
   EXPECT_GT(res.counters.tasks_own, 0u);
+}
+
+// knori runs over the caller's rows in place on a single-node host and over
+// a partition copy on a multi-node one. Both adapters must drive the engine
+// to the same bits: rows, node map (here a simulated 2-node topology whose
+// 3 thread blocks split n unevenly), locality counters and scheduling.
+TEST(Knori, InPlaceViewMatchesPartitionCopyBitwise) {
+  data::GeneratorSpec spec;
+  spec.n = 3001;  // not a multiple of T
+  spec.d = 7;
+  spec.true_clusters = 5;
+  const DenseMatrix m = data::generate(spec);
+  Options opts;
+  opts.k = 5;
+  opts.threads = 3;
+  opts.numa_nodes = 2;
+  opts.max_iters = 12;
+  opts.sched = sched::SchedPolicy::kStatic;  // task counters are exact
+  const numa::Topology topo = numa::Topology::simulated(opts.numa_nodes);
+  const numa::Partitioner parts(m.rows(), opts.threads, topo);
+  const DenseMatrix init = init_centroids(m.const_view(), opts);
+
+  Result copied, in_place;
+  {
+    sched::Scheduler sched(opts.threads, topo, /*bind=*/false, opts.sched);
+    const data::NumaDataset ds(m.const_view(), parts, sched);
+    copied = detail::run_parallel_lloyd(detail::NumaData{&ds}, m.rows(),
+                                        m.cols(), opts, init, sched, parts);
+  }
+  {
+    sched::Scheduler sched(opts.threads, topo, /*bind=*/false, opts.sched);
+    in_place = detail::run_parallel_lloyd(
+        detail::PartitionedView{m.const_view(), &parts}, m.rows(), m.cols(),
+        opts, init, sched, parts);
+  }
+  ASSERT_EQ(copied.iters, in_place.iters);
+  ASSERT_EQ(copied.centroids.rows(), in_place.centroids.rows());
+  EXPECT_EQ(std::memcmp(copied.centroids.data(), in_place.centroids.data(),
+                        copied.centroids.rows() * copied.centroids.cols() *
+                            sizeof(value_t)),
+            0);
+  EXPECT_EQ(copied.assignments, in_place.assignments);
+  EXPECT_EQ(std::memcmp(&copied.energy, &in_place.energy, sizeof(double)), 0);
+  const Counters& a = copied.counters;
+  const Counters& b = in_place.counters;
+  EXPECT_EQ(a.dist_computations, b.dist_computations);
+  EXPECT_EQ(a.clause1_skips, b.clause1_skips);
+  EXPECT_EQ(a.clause2_skips, b.clause2_skips);
+  EXPECT_EQ(a.clause3_skips, b.clause3_skips);
+  EXPECT_EQ(a.local_accesses, b.local_accesses);
+  EXPECT_EQ(a.remote_accesses, b.remote_accesses);
+  EXPECT_EQ(a.tasks_own, b.tasks_own);
+  EXPECT_EQ(a.tasks_same_node, b.tasks_same_node);
+  EXPECT_EQ(a.tasks_remote_node, b.tasks_remote_node);
+  // The simulated second node is real to the accounting: some reads are
+  // remote, and every row is read every iteration.
+  EXPECT_GT(b.remote_accesses, 0u);
+  EXPECT_EQ(b.local_accesses + b.remote_accesses,
+            static_cast<std::uint64_t>(m.rows()) * in_place.iters);
 }
 
 TEST(Minibatch, ReducesEnergyTowardExact) {

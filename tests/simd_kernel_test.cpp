@@ -380,6 +380,197 @@ TEST(SimdKernels, SubsetTiesKeepIncumbentThenLowestId) {
   }
 }
 
+// Sizes around every tile boundary of every ISA (tiles of 4 and 8, half
+// tiles, per-centroid tails): each must keep dist_sq's bits and the
+// per-centroid winner.
+TEST(SimdKernels, TileBoundarySizeSweepMatchesPerCentroidScan) {
+  Prng rng(0x712e, 7);
+  for (const Isa isa : kernels::available_isas()) {
+    const Ops& ops = kernels::ops_for(isa);
+    for (const index_t d : {index_t(3), index_t(16), index_t(21)}) {
+      for (const int k : {15, 16, 17, 255}) {
+        const auto cents = random_vec(rng, static_cast<index_t>(k) * d);
+        CentroidPack pack;
+        pack.pack(cents.data(), k, d);
+        for (int trial = 0; trial < 4; ++trial) {
+          const auto point = random_vec(rng, d);
+          cluster_t ref_best = 0;
+          value_t ref_sq = std::numeric_limits<value_t>::infinity();
+          for (int c = 0; c < k; ++c) {
+            const value_t dc = ops.dist_sq(
+                point.data(), cents.data() + static_cast<std::size_t>(c) * d,
+                d);
+            if (dc < ref_sq) {
+              ref_sq = dc;
+              ref_best = static_cast<cluster_t>(c);
+            }
+          }
+          value_t sq = 0;
+          ASSERT_EQ(ops.nearest_blocked(point.data(), pack, &sq), ref_best)
+              << kernels::to_string(isa) << " d=" << d << " k=" << k;
+          ASSERT_EQ(std::memcmp(&sq, &ref_sq, sizeof(value_t)), 0)
+              << kernels::to_string(isa) << " d=" << d << " k=" << k;
+        }
+      }
+      const int k = 40;
+      const auto cents = random_vec(rng, static_cast<index_t>(k) * d);
+      CentroidPack pack;
+      pack.pack(cents.data(), k, d);
+      for (const int count : {7, 8, 9, 15, 16, 17}) {
+        std::vector<cluster_t> ids;
+        for (int c = 1; c < k; ++c) ids.push_back(static_cast<cluster_t>(c));
+        for (std::size_t i = ids.size(); i > 1; --i)  // shuffle
+          std::swap(ids[i - 1], ids[rng.next_below(i)]);
+        ids.resize(static_cast<std::size_t>(count));
+        for (int trial = 0; trial < 4; ++trial) {
+          const auto point = random_vec(rng, d);
+          value_t ref_sq = ops.dist_sq(point.data(), cents.data(), d);
+          value_t got_sq = ref_sq;
+          const cluster_t want =
+              ref_subset(ops, point.data(), cents, d, ids, 0, &ref_sq);
+          ASSERT_EQ(ops.nearest_subset(point.data(), pack, ids.data(), count,
+                                       0, &got_sq),
+                    want)
+              << kernels::to_string(isa) << " d=" << d << " count=" << count;
+          ASSERT_EQ(std::memcmp(&got_sq, &ref_sq, sizeof(value_t)), 0)
+              << kernels::to_string(isa) << " d=" << d << " count=" << count;
+        }
+      }
+    }
+  }
+}
+
+/// Centroids at integer squared distance dist2[c] from the origin, one
+/// nonzero coordinate each (exact under every ISA, so ties are real).
+std::vector<value_t> centroids_at(const std::vector<value_t>& dist2,
+                                  index_t d) {
+  std::vector<value_t> cents(dist2.size() * d, 0);
+  for (std::size_t c = 0; c < dist2.size(); ++c)
+    cents[c * d + c % d] = std::sqrt(dist2[c]);
+  return cents;
+}
+
+// Ties resolved in registers: for every pair of positions — inside one
+// tile, across two tiles, in the half tile and in the per-centroid tail —
+// the blocked scan returns the lower id, and the subset scan returns the
+// lower listed id whatever the list order, unless the incumbent ties too.
+TEST(SimdKernels, TiesInEveryLanePickLowestIdAndIncumbentWins) {
+  const index_t d = 3;
+  const int k = 21;  // tiles of 8 + half tile + tail, or 5 tiles of 4 + tail
+  const std::vector<value_t> origin(d, 0);
+  Prng rng(0x7135, 8);
+  for (const Isa isa : kernels::available_isas()) {
+    const Ops& ops = kernels::ops_for(isa);
+    const char* name = kernels::to_string(isa);
+    for (int i = 0; i < k; ++i) {
+      for (int j = i + 1; j < k; ++j) {
+        std::vector<value_t> dist2(k, 4);
+        dist2[static_cast<std::size_t>(i)] = 1;
+        dist2[static_cast<std::size_t>(j)] = 1;
+        const auto cents = centroids_at(dist2, d);
+        CentroidPack pack;
+        pack.pack(cents.data(), k, d);
+        value_t sq = 0;
+        ASSERT_EQ(ops.nearest_blocked(origin.data(), pack, &sq),
+                  static_cast<cluster_t>(i))
+            << name << " tie " << i << "," << j;
+        ASSERT_EQ(sq, 1.0) << name;
+        // Subset: every centroid but keep = 0 listed, shuffled; the two
+        // tying candidates sit wherever the shuffle put them.
+        if (i == 0) continue;
+        std::vector<cluster_t> ids;
+        for (int c = 1; c < k; ++c) ids.push_back(static_cast<cluster_t>(c));
+        for (std::size_t p = ids.size(); p > 1; --p)
+          std::swap(ids[p - 1], ids[rng.next_below(p)]);
+        value_t io = 4;  // keep (centroid 0) at distance^2 4: it loses
+        ASSERT_EQ(ops.nearest_subset(origin.data(), pack, ids.data(), k - 1,
+                                     0, &io),
+                  static_cast<cluster_t>(i))
+            << name << " subset tie " << i << "," << j;
+        ASSERT_EQ(io, 1.0) << name;
+        io = 1;  // keep ties the winners: it keeps the point
+        ASSERT_EQ(ops.nearest_subset(origin.data(), pack, ids.data(), k - 1,
+                                     0, &io),
+                  0u)
+            << name << " incumbent tie " << i << "," << j;
+        ASSERT_EQ(io, 1.0) << name;
+      }
+    }
+  }
+}
+
+// NaN and inf distances: a NaN never wins, in any lane; an all-NaN or
+// all-inf scan returns centroid 0 at +inf (blocked) or the incumbent with
+// its distance untouched (subset).
+TEST(SimdKernels, NanNeverWinsAndAllNanOrInfScansKeepTheirDefault) {
+  const index_t d = 5;
+  const value_t nan = std::numeric_limits<value_t>::quiet_NaN();
+  const value_t inf = std::numeric_limits<value_t>::infinity();
+  const std::vector<value_t> origin(d, 0);
+  for (const Isa isa : kernels::available_isas()) {
+    const Ops& ops = kernels::ops_for(isa);
+    const char* name = kernels::to_string(isa);
+    for (const int k : {1, 3, 4, 8, 13, 17}) {
+      std::vector<cluster_t> ids;
+      for (int c = 1; c < k; ++c) ids.push_back(static_cast<cluster_t>(k - c));
+      // One NaN centroid at each position, all others at distance^2 >= 1;
+      // the finite minimum sits right after the NaN (or first).
+      for (int p = 0; p < k; ++p) {
+        std::vector<value_t> dist2(static_cast<std::size_t>(k), 9);
+        const int win = (p + 1) % k;
+        dist2[static_cast<std::size_t>(win)] = 1;
+        auto cents = centroids_at(dist2, d);
+        cents[static_cast<std::size_t>(p) * d + 1] = nan;
+        CentroidPack pack;
+        pack.pack(cents.data(), k, d);
+        value_t sq = 0;
+        const cluster_t got = ops.nearest_blocked(origin.data(), pack, &sq);
+        if (win != p) {
+          EXPECT_EQ(got, static_cast<cluster_t>(win))
+              << name << " k=" << k << " nan at " << p;
+          EXPECT_EQ(sq, 1.0) << name;
+        } else {  // k == 1: the only centroid is NaN
+          EXPECT_EQ(got, 0u) << name;
+          EXPECT_EQ(sq, inf) << name;
+        }
+        // Subset over ids k-1..1 with keep = 0 at distance^2 16: the
+        // listed non-NaN minimum wins, lowest id first.
+        cluster_t want = 0;
+        value_t want_sq = 16;
+        for (int c = 1; c < k; ++c)
+          if (c != p && dist2[static_cast<std::size_t>(c)] < want_sq) {
+            want_sq = dist2[static_cast<std::size_t>(c)];
+            want = static_cast<cluster_t>(c);
+          }
+        value_t io = 16;
+        EXPECT_EQ(ops.nearest_subset(origin.data(), pack, ids.data(), k - 1,
+                                     0, &io),
+                  want)
+            << name << " subset k=" << k << " nan at " << p;
+        EXPECT_EQ(io, want_sq) << name;
+      }
+      for (const value_t bad : {nan, inf}) {
+        std::vector<value_t> cents(static_cast<std::size_t>(k) * d, 0);
+        for (int c = 0; c < k; ++c) cents[static_cast<std::size_t>(c) * d] = bad;
+        CentroidPack pack;
+        pack.pack(cents.data(), k, d);
+        value_t sq = 0;
+        EXPECT_EQ(ops.nearest_blocked(origin.data(), pack, &sq), 0u)
+            << name << " k=" << k << " all " << bad;
+        EXPECT_EQ(sq, inf) << name << " k=" << k << " all " << bad;
+        for (const value_t keep_sq : {value_t(7), inf}) {
+          value_t io = keep_sq;
+          EXPECT_EQ(ops.nearest_subset(origin.data(), pack, ids.data(), k - 1,
+                                       0, &io),
+                    0u)
+              << name << " k=" << k << " all " << bad;
+          EXPECT_EQ(io, keep_sq) << name << " k=" << k << " all " << bad;
+        }
+      }
+    }
+  }
+}
+
 // Odd-d regression sweep: pack rows must be 64-byte aligned with +0.0
 // padding so the aligned full-width loads of the blocked kernel are safe.
 TEST(SimdKernels, CentroidPackAlignedAndZeroPaddedForAllSmallD) {
