@@ -38,7 +38,6 @@ class ChunkAccum {
   }
 
   std::size_t size() const { return slots_.size(); }
-  bool dirty(std::size_t c) const { return dirty_[c] != 0; }
 
   /// Chunk c's slot, cleared on first touch of the iteration. Only the
   /// thread currently processing chunk c may call this (chunks are claimed
@@ -53,7 +52,8 @@ class ChunkAccum {
 
   /// In-worker fixed-tree fold of all dirty slots into slot 0 (call from
   /// every worker; it barriers). After it returns, slot 0 holds the merged
-  /// total iff dirty(0) — an all-clean grid means "nothing accumulated".
+  /// total iff slot 0 was touched — an all-clean grid means "nothing
+  /// accumulated".
   void fold(int tid, int parties, sched::Barrier& barrier) {
     sched::tree_reduce_fixed(tid, parties, slots_.size(), barrier,
                              [&](std::size_t dst, std::size_t src) {
@@ -65,10 +65,6 @@ class ChunkAccum {
   /// Slot 0, cleared if nothing was folded into it — the merged total as a
   /// plain (possibly zero) accumulator, e.g. for wire packing.
   Acc& merged() { return touch(0); }
-
-  /// Raw slot access (no dirty bookkeeping); content is only meaningful
-  /// while dirty(c) holds.
-  const Acc& slot(std::size_t c) const { return slots_[c]; }
 
   /// Forget all content for the next iteration (slots re-clear on touch).
   void next_iteration() { std::fill(dirty_.begin(), dirty_.end(), 0); }

@@ -3,13 +3,24 @@
 //   * NumaData — rows partitioned across NUMA-node-local blocks (knori on
 //     a host with several physical nodes),
 //   * PartitionedView — the caller's rows in place under the same
-//     partition's node map (knori on a single-node host),
-//   * FlatData — one contiguous NUMA-oblivious allocation (the Figure 4
-//     baseline).
+//     partition's node map (knori on a single-node host), or all on node 0
+//     (the NUMA-oblivious Figure 4 baseline),
+//   * sem::SemData — rows on disk behind the row cache and the I/O engine
+//     (knors, src/sem/sem_kmeans.cpp).
 //
-// Data concept:
-//   const value_t* row(index_t r) const;  // O(1) access to row r
-//   int node_of_row(index_t r) const;     // NUMA node owning r's memory
+// Data concept (visit_in_place serves the in-memory sources, whose
+// iteration hooks do nothing):
+//   void visit_task(const numa::Partitioner& parts, int tid,
+//                   const sched::Task& task, Counters* cnt,
+//                   Skip&& skip, Step&& step);
+//     Hands each row r of `task`, ascending, to step(r, row data) unless
+//     skip(r) (MTI clause 1, no data access) says it needs nothing.
+//     `cnt` == nullptr marks the final energy pass: skip is then always
+//     false, and no locality, penalty or per-iteration I/O stats are kept.
+//   void begin_iteration(int it, NeedsData&& needs_data);
+//   void end_iteration();
+//     Driver-thread hooks around iteration `it`'s super-phase; needs_data(r)
+//     is clause 1's verdict without side effects.
 //
 // One Scheduler::run per iteration executes the super-phase: workers drain
 // the NUMA-partitioned work-stealing chunk queues (nearest-centroid + local
@@ -25,9 +36,11 @@
 // scheduling policies, steal schedules, and thread counts.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/memory_tracker.hpp"
@@ -47,13 +60,36 @@
 
 namespace knor::detail {
 
-/// Flat, NUMA-oblivious data adapter: everything lives on node 0 (where a
-/// single malloc/first-touch put it).
-struct FlatData {
-  ConstMatrixView m;
-  const value_t* row(index_t r) const { return m.row(r); }
-  int node_of_row(index_t) const { return 0; }
-};
+/// Walk task's rows in segments that stay inside one thread block, so the
+/// base pointer and the local/remote classification hoist out of the
+/// per-row loop (chunks can straddle block boundaries now that the chunk
+/// grid is laid over the global row space). `cnt` == nullptr skips both the
+/// locality accounting and the emulated remote penalty (the final energy
+/// pass is not part of the iteration-time model).
+template <typename Data, typename Skip, typename Step>
+void visit_in_place(const Data& data, index_t d,
+                    const numa::Partitioner& parts, int tid,
+                    const sched::Task& task, Counters* cnt, Skip&& skip,
+                    Step&& step) {
+  const int my_node = parts.node_of_thread(tid);
+  index_t r = task.begin;
+  while (r < task.end) {
+    const int home = parts.thread_of_row(r);
+    const index_t seg_end = std::min(task.end, parts.thread_rows(home).end);
+    const value_t* v = data.row(r);
+    const bool local = data.node_of_row(r) == my_node;
+    if (cnt != nullptr) {
+      if (local)
+        cnt->local_accesses += seg_end - r;
+      else
+        cnt->remote_accesses += seg_end - r;
+    }
+    for (; r < seg_end; ++r, v += d) {
+      if (cnt != nullptr && !local) numa::RemotePenalty::charge();
+      if (!skip(r)) step(r, v);
+    }
+  }
+}
 
 /// NUMA-partitioned data adapter: each thread block lives on its own
 /// node, in a data::NumaDataset copy of the input.
@@ -61,16 +97,30 @@ struct NumaData {
   const data::NumaDataset* ds;
   const value_t* row(index_t r) const { return ds->row(r); }
   int node_of_row(index_t r) const { return ds->node_of_row(r); }
+  template <typename... A> void visit_task(A&&... a) const {
+    visit_in_place(*this, ds->d(), std::forward<A>(a)...);
+  }
+  template <typename F> void begin_iteration(int, F&&) const {}
+  void end_iteration() const {}
 };
 
 /// The caller's rows in place, owned by nodes as `parts` assigns the
 /// thread blocks — the same rows, node map, local/remote counts and
 /// emulated remote penalty as NumaData over a copy, without the copy.
+/// `parts` == nullptr: NUMA-oblivious, everything lives on node 0 (where a
+/// single malloc/first-touch put it).
 struct PartitionedView {
   ConstMatrixView m;
   const numa::Partitioner* parts;
   const value_t* row(index_t r) const { return m.row(r); }
-  int node_of_row(index_t r) const { return parts->node_of_row(r); }
+  int node_of_row(index_t r) const {
+    return parts != nullptr ? parts->node_of_row(r) : 0;
+  }
+  template <typename... A> void visit_task(A&&... a) const {
+    visit_in_place(*this, m.cols(), std::forward<A>(a)...);
+  }
+  template <typename F> void begin_iteration(int, F&&) const {}
+  void end_iteration() const {}
 };
 
 struct alignas(kCacheLine) PerThread {
@@ -79,51 +129,22 @@ struct alignas(kCacheLine) PerThread {
   double busy_s = 0.0;  ///< CPU time in super-phases, whole run
 };
 
-/// Walk task's rows in segments that stay inside one thread block, so the
-/// base pointer and the local/remote classification hoist out of the
-/// per-row loop (chunks can straddle block boundaries now that the chunk
-/// grid is laid over the global row space). `cnt` == nullptr skips both the
-/// locality accounting and the emulated remote penalty (the final energy
-/// pass is not part of the iteration-time model).
-template <typename Data, typename PerRow>
-void for_task_rows(const Data& data, const numa::Partitioner& parts,
-                   const sched::Task& task, int my_node, Counters* cnt,
-                   PerRow&& per_row) {
-  index_t r = task.begin;
-  while (r < task.end) {
-    const int home = parts.thread_of_row(r);
-    const index_t seg_end = std::min(task.end, parts.thread_rows(home).end);
-    const value_t* base = data.row(r);
-    const bool local = data.node_of_row(r) == my_node;
-    if (cnt != nullptr) {
-      if (local)
-        cnt->local_accesses += seg_end - r;
-      else
-        cnt->remote_accesses += seg_end - r;
-    }
-    for (index_t i = r; i < seg_end; ++i) {
-      if (cnt != nullptr && !local) numa::RemotePenalty::charge();
-      per_row(i, base, r);
-    }
-    r = seg_end;
-  }
-}
-
 /// `reducer` (nullable) is the cross-node hook: when set, the merged
 /// per-iteration accumulator plus the changed-count are allreduced across
 /// ranks in one collective before finalization, and the final energy is
 /// allreduced too — every rank then finalizes identical global centroids
 /// from its own shard's contribution. Single-node callers pass nullptr.
 ///
-/// `resume` (nullable) restarts the loop at a checkpointed iteration
-/// boundary: `initial` must then be the checkpointed centroids, and the
+/// `resume` (nullable; iteration 0 = fresh start) restarts the loop at a
+/// checkpointed iteration boundary: `initial` must then be the
+/// checkpointed centroids, and the
 /// restored assignments/pre-loosened bounds/global sums make the first
 /// resumed iteration bitwise identical to the same iteration of the
 /// uninterrupted run (see ResumeState). `observer` (nullable) is called at
-/// every non-final iteration boundary and may stop the run or throw
-/// (DESIGN.md §13).
+/// every iteration boundary but a converged one and may stop the run or
+/// throw (DESIGN.md §13).
 template <typename Data>
-Result run_parallel_lloyd(const Data& data, index_t n, index_t d,
+Result run_parallel_lloyd(Data&& data, index_t n, index_t d,
                           const Options& opts, DenseMatrix initial,
                           sched::Scheduler& sched,
                           const numa::Partitioner& parts,
@@ -137,7 +158,7 @@ Result run_parallel_lloyd(const Data& data, index_t n, index_t d,
   // retarget each other): every distance below (pruned subset scan,
   // blocked full scan, energy pass) goes through the same kernel table, so
   // the bitwise-equality contract of kernels/simd.hpp keeps pruned and
-  // unpruned paths in exact agreement.
+  // unpruned paths on the same assignments.
   const kernels::Ops& K = kernels::ops_for(opts.simd);
   const index_t task_size =
       sched::Scheduler::resolve_task_size(n, opts.task_size);
@@ -182,8 +203,8 @@ Result run_parallel_lloyd(const Data& data, index_t n, index_t d,
   if (opts.prune) {
     mti = MtiState(n, k);
     // prev == empty: drift 0. Resumed bounds were pre-loosened against the
-    // checkpointed centroids (now `cur`), so drift 0 keeps them valid —
-    // the same contract as the SEM resume path.
+    // checkpointed centroids (now `cur`, see checkpoint_bounds), so drift 0
+    // keeps them valid.
     mti.prepare(DenseMatrix{}, cur, K);
     if (resumed)
       for (index_t i = 0; i < n; ++i)
@@ -227,18 +248,29 @@ Result run_parallel_lloyd(const Data& data, index_t n, index_t d,
                          res.assignments.size() * sizeof(cluster_t));
   ScopedAlloc mem_mti("mti-state", prune ? mti.bytes() : 0);
 
-  // `v` is the row's data; locality accounting is hoisted to per-segment in
-  // for_task_rows. `chunk` selects the deterministic accumulator slot.
+  // Clause 1 before any data access: true when row r's assignment provably
+  // cannot change — no distance computation, no accumulate, no touch of the
+  // row data at all (in knors, no I/O request). `skip` records the skip;
+  // `needs_data` is the same verdict without side effects, for sources
+  // that plan ahead of the super-phase (the knors row cache).
+  const auto skip = [&](index_t r, Counters& cnt) {
+    const cluster_t a = res.assignments[r];
+    return prune && a != kInvalidCluster && mti.skip(r, a, cnt);
+  };
+  const auto needs_data = [&](index_t r) {
+    const cluster_t a = res.assignments[r];
+    return !prune || a == kInvalidCluster ||
+           !mti.clause1(a, mti.ub(r) + mti.drift(a));
+  };
+
+  // The per-row step for a row that survived clause 1; `v` is its data.
+  // `chunk` selects the deterministic accumulator slot.
   auto process_point = [&](index_t r, const value_t* v, int tid,
                            std::uint32_t chunk) {
     Counters& cnt = per_thread[static_cast<std::size_t>(tid)].counters;
     const cluster_t a = res.assignments[r];
     if (prune && a != kInvalidCluster) {
-      // Clause 1: assignment provably unchanged — no distance computation,
-      // no accumulate, no touch of the row data at all (the in-memory
-      // analogue of knors's elided I/O request).
-      if (mti.skip(r, a, cnt)) return;
-      // Survivor: the shared pruned-assign step (clauses 2/3 + subset scan).
+      // The shared pruned-assign step (clauses 2/3 + subset scan).
       const cluster_t best = mti.assign(r, v, a, K, pack, cnt);
       if (best != a) {
         ++per_thread[static_cast<std::size_t>(tid)].changed;
@@ -272,16 +304,13 @@ Result run_parallel_lloyd(const Data& data, index_t n, index_t d,
     const double cpu_start = thread_cpu_seconds();
     per_thread[static_cast<std::size_t>(tid)].changed = 0;
     Counters& cnt = per_thread[static_cast<std::size_t>(tid)].counters;
-    const int my_node = parts.node_of_thread(tid);
     sched::Task task;
     while (sched.next_chunk(tid, task)) {
-      for_task_rows(data, parts, task, my_node, &cnt,
-                    [&](index_t r, const value_t* base, index_t seg_begin) {
-                      process_point(
-                          r,
-                          base + static_cast<std::size_t>(r - seg_begin) * d,
-                          tid, task.chunk);
-                    });
+      data.visit_task(
+          parts, tid, task, &cnt, [&](index_t r) { return skip(r, cnt); },
+          [&](index_t r, const value_t* v) {
+            process_point(r, v, tid, task.chunk);
+          });
     }
     per_thread[static_cast<std::size_t>(tid)].busy_s +=
         thread_cpu_seconds() - cpu_start;
@@ -322,6 +351,7 @@ Result run_parallel_lloyd(const Data& data, index_t n, index_t d,
   for (int it = start_iter; it < opts.max_iters; ++it) {
     WallTimer timer;
     pack.pack(cur);
+    data.begin_iteration(it, needs_data);
     sched.begin_chunks(n, task_size, &parts);
     {
       // Driver-side view of the super-phase: workers' nearest-centroid +
@@ -330,6 +360,7 @@ Result run_parallel_lloyd(const Data& data, index_t n, index_t d,
       obs::Span span_assign("assign");
       sched.run(iteration);
     }
+    data.end_iteration();
 
     std::uint64_t changed = 0;
     for (const auto& pt : per_thread) changed += pt.changed;
@@ -415,14 +446,12 @@ Result run_parallel_lloyd(const Data& data, index_t n, index_t d,
     std::vector<double> chunk_energy(chunks, 0.0);
     sched.parallel_for(n, task_size, &parts,
                        [&](int tid, const sched::Task& task) {
-      const int my_node = parts.node_of_thread(tid);
       double e = 0.0;
-      for_task_rows(data, parts, task, my_node, nullptr,
-                    [&](index_t r, const value_t* base, index_t seg_begin) {
-                      e += K.dist_sq(
-                          base + static_cast<std::size_t>(r - seg_begin) * d,
-                          cur.row(res.assignments[r]), d);
-                    });
+      data.visit_task(
+          parts, tid, task, nullptr, [](index_t) { return false; },
+          [&](index_t r, const value_t* v) {
+            e += K.dist_sq(v, cur.row(res.assignments[r]), d);
+          });
       chunk_energy[task.chunk] = e;
     });
     for (const double e : chunk_energy) res.energy += e;

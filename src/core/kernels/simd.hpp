@@ -17,9 +17,12 @@
 //    interleave the exact per-centroid accumulator/reduction sequence of
 //    that ISA's dist_sq, so blocked, subset and per-centroid distance
 //    values are bitwise IDENTICAL. This is what keeps the MTI-pruned path
-//    (dist_sq to the assigned centroid + subset scan) in exact agreement
-//    with the full-scan path (blocked) — pruned vs. unpruned runs stay
-//    bitwise-equal under any ISA.
+//    (dist_sq to the assigned centroid + subset scan) picking exactly the
+//    full-scan path's (blocked) winners — pruned vs. unpruned runs agree on
+//    assignments and iteration counts under any ISA. Their centroid and
+//    energy bits can still differ on fractional data: the pruned engines
+//    update persistent sums by membership deltas, the unpruned ones rebuild
+//    the sums every iteration (DESIGN.md §3).
 //  * A tile is one vector of distances: 8 centroids on AVX-512, 4 on AVX2
 //    and on SSE2 (as two 2-lane vectors). Its sums are reduced TRANSPOSED
 //    — shuffles and adds across the tile's accumulators — under each

@@ -309,8 +309,12 @@ void gemm_argmin_t(const value_t* a, index_t mrows, index_t lda,
   for (index_t i0 = 0; i0 < mrows; i0 += kGemmMr) {
     const index_t im = mrows - i0 < kGemmMr ? mrows - i0 : kGemmMr;
     for (index_t P = p0; P < p1; ++P) {
+      // Constant bounds, fully unrolled: a runtime bound (im) turns the
+      // zero-fill into a memset at the head of every panel sweep.
       typename V::vec acc[kGemmMr][kNV];
-      for (index_t i = 0; i < im; ++i)
+#pragma GCC unroll 16
+      for (index_t i = 0; i < kGemmMr; ++i)
+#pragma GCC unroll 16
         for (index_t v = 0; v < kNV; ++v) acc[i][v] = V::zero();
       // Ascending col-panels, ascending columns inside each: lane j of
       // acc[i] accumulates <row i0+i, centroid P*width+j> strictly

@@ -170,8 +170,8 @@ struct GlobalReducer {
 /// accumulators — identical on every participant after the boundary's
 /// allreduce, exactly as the engine maintains them. `upper_bounds` must be
 /// pre-loosened against the resumed centroids (ub + drift at save time) so
-/// the engine can restart with drift 0 and stay bitwise exact — the same
-/// contract as the SEM checkpoint path (src/sem/sem_kmeans.cpp).
+/// the engine can restart with drift 0 and stay bitwise exact; every
+/// checkpoint writer takes them from checkpoint_bounds (core/mti.hpp).
 struct ResumeState {
   std::uint64_t iteration = 0;         ///< iterations already completed
   std::vector<cluster_t> assignments;  ///< size n (this node's shard)
@@ -195,11 +195,13 @@ struct IterationView {
 };
 
 /// Iteration-boundary hook for the parallel engine: called after every
-/// completed iteration EXCEPT the one that ends the run (convergence or
-/// max_iters) — a run that just finished has nothing left to checkpoint or
-/// stop. When a GlobalReducer is present the view's `changed` is the global
-/// count and all ranks observe the identical boundary, so an observer that
-/// decides from (plan, view) alone decides identically on every rank.
+/// completed iteration EXCEPT the one that converges — a converged run has
+/// nothing left to checkpoint or stop. The boundary that reaches max_iters
+/// IS observed, so a run capped short of convergence still checkpoints its
+/// last iteration (and can be resumed with a larger cap). When a
+/// GlobalReducer is present the view's `changed` is the global count and
+/// all ranks observe the identical boundary, so an observer that decides
+/// from (plan, view) alone decides identically on every rank.
 /// Return false to stop the run cleanly at this boundary; throwing
 /// propagates through Cluster::run's abort machinery (fault injection).
 struct IterObserver {

@@ -23,40 +23,33 @@ Result run_node(ConstMatrixView data, const Options& opts,
   const index_t d = data.cols();
 
   numa::Partitioner parts(n, T, topo);
+  // The NUMA-oblivious baseline runs unbound threads.
+  sched::Scheduler sched(T, topo, /*bind=*/opts.numa_aware && opts.numa_bind,
+                         opts.sched);
+  const auto run = [&](auto&& source) {
+    return run_parallel_lloyd(source, n, d, opts, std::move(initial), sched,
+                              parts, reducer, resume, observer);
+  };
+  // NUMA-oblivious baseline: data wherever the original allocation's first
+  // touch put it (node 0 for accounting purposes).
+  if (!opts.numa_aware) return run(PartitionedView{data, nullptr});
 
-  if (!opts.numa_aware) {
-    // NUMA-oblivious baseline: unbound threads, data wherever the original
-    // allocation's first touch put it (node 0 for accounting purposes).
-    sched::Scheduler sched(T, topo, /*bind=*/false, opts.sched);
-    detail::FlatData flat{data};
-    return detail::run_parallel_lloyd(flat, n, d, opts, std::move(initial),
-                                      sched, parts, reducer, resume,
-                                      observer);
-  }
-
-  sched::Scheduler sched(T, topo, /*bind=*/opts.numa_bind, opts.sched);
   KNOR_LOG_DEBUG("knori: n=", n, " d=", d, " k=", opts.k, " T=", T,
                  " nodes=", topo.num_nodes(),
                  (opts.prune ? " mti=on" : " mti=off"));
   // The dataset's bytes are charged either way (Table 1 accounts knori's
   // data at n*d*8 whether it is the caller's matrix or a placed copy).
   ScopedAlloc mem_ds("dataset", n * d * sizeof(value_t));
-  if (!numa::machine_has_multiple_nodes()) {
-    // One physical node: a partition copy cannot change where any row
-    // lives, so the fit runs over the caller's rows. The partition still
-    // assigns blocks to (possibly simulated) nodes, which keeps the
-    // local/remote counters and the remote penalty of a copy.
-    PartitionedView view{data, &parts};
-    return detail::run_parallel_lloyd(view, n, d, opts, std::move(initial),
-                                      sched, parts, reducer, resume,
-                                      observer);
-  }
+  // One physical node: a partition copy cannot change where any row
+  // lives, so the fit runs over the caller's rows. The partition still
+  // assigns blocks to (possibly simulated) nodes, which keeps the
+  // local/remote counters and the remote penalty of a copy.
+  if (!numa::machine_has_multiple_nodes())
+    return run(PartitionedView{data, &parts});
   // Several physical nodes: the copy IS the placement — each worker
   // first-touches its own block on its node.
   data::NumaDataset ds(data, parts, sched);
-  NumaData nd{&ds};
-  return detail::run_parallel_lloyd(nd, n, d, opts, std::move(initial), sched,
-                                    parts, reducer, resume, observer);
+  return run(NumaData{&ds});
 }
 
 }  // namespace detail

@@ -34,8 +34,8 @@ namespace detail {
 /// a Communicator-backed reducer, which is all it takes to turn the
 /// single-node engine into the distributed one (paper §6). `resume`
 /// restarts at a checkpointed boundary (initial = checkpointed centroids)
-/// and `observer` hooks every non-final boundary — the fault-tolerance
-/// layer (dist::ft_kmeans, DESIGN.md §13) drives both.
+/// and `observer` hooks every boundary but a converged one — the
+/// fault-tolerance layer (dist::ft_kmeans, DESIGN.md §13) drives both.
 Result run_node(ConstMatrixView data, const Options& opts,
                 DenseMatrix initial, GlobalReducer* reducer,
                 const ResumeState* resume = nullptr,

@@ -97,3 +97,16 @@ cluster_t MtiState::assign(index_t i, const value_t* v, cluster_t a,
 }
 
 }  // namespace knor
+
+namespace knor::detail {
+
+std::vector<value_t> checkpoint_bounds(const IterationView& view) {
+  if (view.mti == nullptr) return {};
+  const std::vector<cluster_t>& a = *view.assignments;
+  std::vector<value_t> bounds(a.size());
+  for (std::size_t i = 0; i < a.size(); ++i)
+    bounds[i] = view.mti->ub(static_cast<index_t>(i)) + view.mti->drift(a[i]);
+  return bounds;
+}
+
+}  // namespace knor::detail

@@ -114,4 +114,14 @@ class MtiState {
   std::vector<value_t> drift_;  ///< k
 };
 
+namespace detail {
+
+/// The MTI state a checkpoint stores for ResumeState::upper_bounds: each
+/// row's bound pre-loosened against the boundary's centroids (ub + drift of
+/// its cluster), so the resumed engine starts with drift 0 and stays
+/// bitwise exact. Empty when the view carries no MTI state (pruning off).
+std::vector<value_t> checkpoint_bounds(const IterationView& view);
+
+}  // namespace detail
+
 }  // namespace knor

@@ -158,17 +158,6 @@ DenseMatrix generator_initial(const data::GeneratorSpec& spec,
 // ---------------------------------------------------------------------------
 // Fault-tolerant elastic driver (ft_kmeans, DESIGN.md §13).
 
-/// Replicated global state between epochs, in the FULL row space. Restored
-/// from a checkpoint (or fresh) by the driver, sliced per rank on entry.
-struct FtState {
-  std::uint64_t iteration = 0;  ///< 0 = fresh start
-  DenseMatrix centroids;
-  std::vector<cluster_t> assignments;  ///< size n when iteration > 0
-  std::vector<value_t> upper_bounds;   ///< size n (pruning only)
-  DenseMatrix sums;                    ///< k x d (pruning only)
-  std::vector<std::int64_t> counts;    ///< k (pruning only)
-};
-
 /// Deterministic fault-metric handles, resolved once per ft_kmeans call.
 struct FtMetrics {
   obs::Counter& faults;
@@ -320,15 +309,9 @@ class FtObserver final : public knor::detail::IterObserver {
                      begin, nn);
     std::vector<value_t> bounds;
     if (view.mti != nullptr) {
-      // Pre-loosen against the current centroids (ub + drift) so resume
-      // restarts with drift 0 and stays bitwise exact — the SEM
-      // checkpoint contract (src/sem/sem_kmeans.cpp).
-      std::vector<value_t> loosened(count);
-      for (index_t i = 0; i < rows_.size(); ++i)
-        loosened[static_cast<std::size_t>(i)] =
-            view.mti->ub(i) +
-            view.mti->drift((*view.assignments)[static_cast<std::size_t>(
-                i)]);
+      // Pre-loosened bounds: the ResumeState contract (checkpoint_bounds).
+      const std::vector<value_t> loosened =
+          knor::detail::checkpoint_bounds(view);
       bounds.resize(nn);
       comm_.allgatherv(loosened.data(), count, bounds.data(), begin, nn);
     }
@@ -362,37 +345,33 @@ class FtObserver final : public knor::detail::IterObserver {
   FtMetrics metrics_;
 };
 
-FtState state_from(const sem::Checkpoint& ckpt, index_t n, index_t d,
-                   const Options& opts) {
+/// Replicated global state between epochs, in the FULL row space: a
+/// checkpoint validated against the run (iteration 0 = fresh start), sliced
+/// per rank on entry.
+sem::Checkpoint state_from(sem::Checkpoint ckpt, index_t n, index_t d,
+                           const Options& opts) {
   if (ckpt.n() != n || ckpt.k() != opts.k || ckpt.centroids.cols() != d)
     throw std::runtime_error(
         "dist::ft_kmeans: checkpoint shape does not match dataset/options");
   if (opts.prune && (ckpt.upper_bounds.empty() || ckpt.sums.empty()))
     throw std::runtime_error(
         "dist::ft_kmeans: checkpoint lacks MTI state but pruning is on");
-  FtState st;
-  st.iteration = ckpt.iteration;
-  st.centroids = ckpt.centroids;
-  st.assignments = ckpt.assignments;
-  st.upper_bounds = ckpt.upper_bounds;
-  st.sums = ckpt.sums;
-  st.counts = ckpt.counts;
-  return st;
+  return ckpt;
 }
 
 /// The latest distributed checkpoint: the file when a path is configured
 /// (exercising the durable load/checksum path), else the in-memory
 /// snapshot, else a fresh start from the run's initial centroids.
-FtState restore_state(const FtOptions& fopts,
-                      const std::shared_ptr<const sem::Checkpoint>& latest,
-                      const DenseMatrix& initial, index_t n, index_t d,
-                      const Options& opts) {
+sem::Checkpoint restore_state(
+    const FtOptions& fopts,
+    const std::shared_ptr<const sem::Checkpoint>& latest,
+    const DenseMatrix& initial, index_t n, index_t d, const Options& opts) {
   if (!fopts.checkpoint_path.empty() &&
       sem::checkpoint_exists(fopts.checkpoint_path))
     return state_from(sem::load_checkpoint(fopts.checkpoint_path), n, d,
                       opts);
   if (latest) return state_from(*latest, n, d, opts);
-  FtState st;
+  sem::Checkpoint st;
   st.centroids = initial;
   return st;
 }
@@ -478,7 +457,7 @@ Result ft_kmeans(ConstMatrixView data, const Options& opts,
   Membership mem(dopts.ranks);
   std::shared_ptr<const sem::Checkpoint> latest;
 
-  FtState st;
+  sem::Checkpoint st;
   if (fopts.resume && sem::checkpoint_exists(fopts.checkpoint_path))
     st = state_from(sem::load_checkpoint(fopts.checkpoint_path), n, d, opts);
   else
@@ -518,7 +497,6 @@ Result ft_kmeans(ConstMatrixView data, const Options& opts,
 
         // Slice the replicated full-n state down to this rank's shard.
         knor::detail::ResumeState rs;
-        const knor::detail::ResumeState* rsp = nullptr;
         if (st.iteration > 0) {
           const auto b = static_cast<std::ptrdiff_t>(rows.begin);
           const auto e = static_cast<std::ptrdiff_t>(rows.end);
@@ -531,7 +509,6 @@ Result ft_kmeans(ConstMatrixView data, const Options& opts,
             rs.sums = st.sums;
             rs.counts = st.counts;
           }
-          rsp = &rs;
         }
 
         FtReducer reducer(comm, fopts, st.iteration, wire_elems, metrics);
@@ -539,7 +516,7 @@ Result ft_kmeans(ConstMatrixView data, const Options& opts,
                             metrics);
         DenseMatrix start = st.centroids;  // replicated copy
         Result res = knor::detail::run_node(shard, local, std::move(start),
-                                            &reducer, rsp, &observer);
+                                            &reducer, &rs, &observer);
 
         std::vector<cluster_t> full(static_cast<std::size_t>(n));
         comm.allgatherv(res.assignments.data(),

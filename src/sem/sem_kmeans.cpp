@@ -1,22 +1,16 @@
 #include "sem/sem_kmeans.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
+#include <atomic>
 #include <stdexcept>
+#include <utility>
 
-#include "common/logger.hpp"
 #include "common/memory_tracker.hpp"
-#include "common/timer.hpp"
+#include "core/engine_impl.hpp"
 #include "core/init.hpp"
-#include "core/kernels/simd.hpp"
-#include "core/local_centroids.hpp"
 #include "core/mti.hpp"
-#include "core/run_metrics.hpp"
 #include "numa/partitioner.hpp"
-#include "core/chunk_accum.hpp"
 #include "obs/registry.hpp"
-#include "obs/span.hpp"
 #include "sched/scheduler.hpp"
 #include "sem/checkpoint.hpp"
 #include "sem/io_engine.hpp"
@@ -45,14 +39,6 @@ std::uint64_t SemStats::total_device_requests() const {
 
 namespace {
 
-struct alignas(kCacheLine) SemPerThread {
-  Counters counters;
-  std::uint64_t changed = 0;
-  std::uint64_t active = 0;
-  std::uint64_t rc_hits = 0;
-  double busy_s = 0.0;  ///< CPU time in super-phases, whole run
-};
-
 DenseMatrix sem_init_centroids(PageFile& file, IoEngine& engine,
                                const Options& opts) {
   switch (opts.init) {
@@ -64,24 +50,10 @@ DenseMatrix sem_init_centroids(PageFile& file, IoEngine& engine,
       return opts.initial_centroids;
     }
     case Init::kForgy: {
-      if (static_cast<index_t>(opts.k) > file.n())
-        throw std::invalid_argument("sem::kmeans: k > n");
-      auto rows = sample_rows(file.n(), opts.k, opts.seed);
-      // fetch_rows wants ascending row ids; remember the permutation.
-      std::vector<std::size_t> order(rows.size());
-      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-      std::sort(order.begin(), order.end(),
-                [&](std::size_t a, std::size_t b) { return rows[a] < rows[b]; });
-      std::vector<index_t> sorted(rows.size());
-      for (std::size_t i = 0; i < order.size(); ++i)
-        sorted[i] = rows[order[i]];
-      DenseMatrix fetched(static_cast<index_t>(opts.k), file.d());
-      engine.fetch_rows(sorted, fetched.data());
+      const auto rows = sample_rows(file.n(), opts.k, opts.seed);
       DenseMatrix centroids(static_cast<index_t>(opts.k), file.d());
-      for (std::size_t i = 0; i < order.size(); ++i)
-        std::memcpy(centroids.row(static_cast<index_t>(order[i])),
-                    fetched.row(static_cast<index_t>(i)),
-                    file.d() * sizeof(value_t));
+      for (std::size_t i = 0; i < rows.size(); ++i)
+        engine.fetch_rows({rows[i]}, centroids.row(static_cast<index_t>(i)));
       return centroids;
     }
     default:
@@ -90,6 +62,195 @@ DenseMatrix sem_init_centroids(PageFile& file, IoEngine& engine,
   }
 }
 
+/// knors as a data source of the shared Lloyd driver
+/// (detail::run_parallel_lloyd; the Data concept in core/engine_impl.hpp).
+/// Rows live on disk: a task's clause-1 survivors — decided before any
+/// I/O — come from the row cache or from double-buffered IoEngine batches,
+/// and reach the driver's per-row step in row order, exactly as an
+/// in-memory source hands them over. That order is what makes knors fold
+/// bitwise like knori on any data.
+class SemData {
+ public:
+  SemData(PageFile& file, IoEngine& engine, RowCache& row_cache, bool use_rc,
+          index_t task_size, int threads, index_t batch_rows, SemStats* stats)
+      : file_(file),
+        engine_(engine),
+        rc_(row_cache),
+        use_rc_(use_rc),
+        d_(file.d()),
+        task_size_(task_size),
+        batch_rows_(batch_rows),
+        stats_(stats),
+        io_wait_us_(obs::Registry::global().histogram("sem.io_wait_us",
+                                                      obs::Det::kTiming)),
+        active_rows_(obs::Registry::global().counter(
+            "sem.active_rows", obs::Det::kDeterministic)),
+        scratch_(static_cast<std::size_t>(threads)) {
+    for (IoScratch& s : scratch_) s.buf = DenseMatrix(batch_rows, d_);
+  }
+
+  template <typename NeedsData>
+  void begin_iteration(int it, NeedsData&& needs_data) {
+    if (use_rc_ && rc_.refresh_due(it + 1)) {
+      // Plan the row cache's quotas from this iteration's clause-1
+      // survivors per chunk (the workers' first pass, without its side
+      // effects).
+      std::vector<std::size_t> active(
+          sched::Scheduler::num_chunks(file_.n(), task_size_), 0);
+      for (index_t r = 0; r < file_.n(); ++r)
+        if (needs_data(r)) ++active[static_cast<std::size_t>(r / task_size_)];
+      rc_.plan(active);
+    }
+    refresh_ = use_rc_ && rc_.begin_iteration(it + 1) ==
+                              RowCache::Mode::kRefresh;
+    hits_before_ = rc_.hits();
+  }
+
+  void end_iteration() {
+    if (refresh_) rc_.publish();
+    const std::uint64_t active = active_.exchange(0);
+    active_rows_.add(active);
+    if (stats_ != nullptr) {
+      IterIo io;
+      io.bytes_requested = engine_.bytes_requested() - last_requested_;
+      io.bytes_read = file_.bytes_read() - last_read_;
+      io.device_requests = file_.read_requests() - last_reqs_;
+      io.row_cache_hits = rc_.hits() - hits_before_;
+      io.active_rows = active;
+      stats_->per_iter.push_back(io);
+    }
+    last_requested_ = engine_.bytes_requested();
+    last_read_ = file_.bytes_read();
+    last_reqs_ = file_.read_requests();
+  }
+
+  template <typename Skip, typename Step>
+  void visit_task(const numa::Partitioner&, int tid, const sched::Task& task,
+                  Counters* cnt, Skip&& skip, Step&& step) {
+    IoScratch& s = scratch_[static_cast<std::size_t>(tid)];
+    if (cnt == nullptr) {
+      // Final energy pass: stream every row once, in batches.
+      for (index_t begin = task.begin; begin < task.end;
+           begin += batch_rows_) {
+        const index_t end = std::min(task.end, begin + batch_rows_);
+        s.rows.clear();
+        for (index_t r = begin; r < end; ++r) s.rows.push_back(r);
+        engine_.fetch_rows(s.rows, s.buf.data());
+        for (index_t r = begin; r < end; ++r) step(r, s.buf.row(r - begin));
+      }
+      return;
+    }
+
+    // Pass 1 — no data access: clause 1 decides which rows need data; the
+    // row cache serves what it holds (offered in row order on a refresh,
+    // ahead of the fetched rows) and the rest are queued for I/O.
+    s.rows.clear();
+    s.cached.clear();
+    s.to_fetch.clear();
+    for (index_t r = task.begin; r < task.end; ++r) {
+      if (skip(r)) continue;
+      const value_t* hit = use_rc_ ? rc_.lookup(task.chunk, r) : nullptr;
+      if (hit == nullptr)
+        s.to_fetch.push_back(r);
+      else if (refresh_)
+        rc_.offer(task.chunk, r, hit);
+      s.rows.push_back(r);
+      s.cached.push_back(hit);
+    }
+    active_.fetch_add(s.rows.size(), std::memory_order_relaxed);
+
+    // Visit the survivors in row order: cached rows from the cache, the
+    // rest from the batch just fetched (`count` rows at `fetched`).
+    std::size_t next = 0;
+    const auto visit = [&](const value_t* fetched, std::size_t count) {
+      for (std::size_t j = 0; next < s.rows.size(); ++next) {
+        const index_t r = s.rows[next];
+        const value_t* v = s.cached[next];
+        if (v == nullptr) {
+          if (j == count) return;
+          v = fetched + j++ * d_;
+          if (refresh_) rc_.offer(task.chunk, r, v);
+        }
+        step(r, v);
+      }
+    };
+    // Double-buffered fetch: prefetch batch i+1 while processing batch i.
+    const auto batch = [&](std::size_t pos) {
+      const auto at = [&](std::size_t i) {
+        return s.to_fetch.begin() + static_cast<std::ptrdiff_t>(
+                                        std::min(i, s.to_fetch.size()));
+      };
+      return std::vector<index_t>(at(pos), at(pos + batch_rows_));
+    };
+    for (std::size_t pos = 0; pos < s.to_fetch.size(); pos += batch_rows_) {
+      const std::vector<index_t> now = batch(pos);
+      IoEngine::Ticket ticket;
+      if (pos + batch_rows_ < s.to_fetch.size())
+        ticket = engine_.prefetch(batch(pos + batch_rows_));
+      const std::uint64_t t0 = obs::Tracer::now_us();
+      engine_.fetch_rows(now, s.buf.data());
+      io_wait_us_.record(obs::Tracer::now_us() - t0);
+      visit(s.buf.data(), now.size());
+      ticket.wait();
+    }
+    visit(nullptr, 0);  // cached rows after the last fetched one
+  }
+
+ private:
+  /// One worker's I/O staging: its current task's survivors, their cached
+  /// rows, the rows left to fetch and the buffer a batch is read into.
+  struct alignas(kCacheLine) IoScratch {
+    std::vector<index_t> rows, to_fetch;
+    std::vector<const value_t*> cached;
+    DenseMatrix buf;
+  };
+
+  PageFile& file_;
+  IoEngine& engine_;
+  RowCache& rc_;
+  const bool use_rc_;
+  const index_t d_;
+  const index_t task_size_;
+  const index_t batch_rows_;
+  SemStats* stats_;
+  obs::Histogram& io_wait_us_;
+  obs::Counter& active_rows_;
+  std::vector<IoScratch> scratch_;
+  bool refresh_ = false;
+  std::atomic<std::uint64_t> active_{0};
+  std::uint64_t hits_before_ = 0;
+  std::uint64_t last_requested_ = 0;
+  std::uint64_t last_read_ = 0;
+  std::uint64_t last_reqs_ = 0;
+};
+
+/// Writes knors's lightweight checkpoint every `every` iterations from the
+/// driver's iteration boundary (FlashGraph-style recovery, §2).
+class CheckpointWriter final : public detail::IterObserver {
+ public:
+  CheckpointWriter(std::string path, int every)
+      : path_(std::move(path)), every_(static_cast<std::uint64_t>(every)) {}
+
+  bool on_iteration(const detail::IterationView& view) override {
+    if (view.iteration % every_ != 0) return true;
+    Checkpoint ckpt;
+    ckpt.iteration = view.iteration;
+    ckpt.centroids = *view.centroids;
+    ckpt.assignments = *view.assignments;
+    ckpt.upper_bounds = detail::checkpoint_bounds(view);
+    if (view.sums != nullptr) {
+      ckpt.sums = *view.sums;
+      ckpt.counts = *view.counts;
+    }
+    save_checkpoint(path_, ckpt);
+    return true;
+  }
+
+ private:
+  const std::string path_;
+  const std::uint64_t every_;
+};
+
 }  // namespace
 
 Result kmeans(const std::string& path, const Options& opts,
@@ -97,11 +258,6 @@ Result kmeans(const std::string& path, const Options& opts,
   // Per-run registry slice (DESIGN.md §10), diffed around the whole run.
   obs::Registry& reg = obs::Registry::global();
   const obs::Snapshot obs_before = reg.snapshot();
-  // Demand-side I/O wait as seen by one worker: each blocking fetch_rows
-  // call is one sample. Timing-class, like every latency.
-  obs::Histogram& io_wait_us =
-      reg.histogram("sem.io_wait_us", obs::Det::kTiming);
-  const kernels::Ops& K = kernels::ops_for(opts.simd);
   PageFile file(path, sem_opts.page_size, sem_opts.ssd);
   const index_t n = file.n();
   const index_t d = file.d();
@@ -119,57 +275,28 @@ Result kmeans(const std::string& path, const Options& opts,
   ScopedAlloc mem_pc("sem-page-cache",
                      page_cache.capacity_pages() * sem_opts.page_size);
 
-  Result res;
-  res.assignments.assign(static_cast<std::size_t>(n), kInvalidCluster);
-  ScopedAlloc mem_assign("assignments",
-                         res.assignments.size() * sizeof(cluster_t));
-
   // Resume from a lightweight checkpoint when requested (recovery path of
   // FlashGraph-style failure tolerance). Falls through to a fresh start
-  // when no checkpoint exists yet.
-  Checkpoint restored;
-  bool resumed = false;
+  // when no checkpoint exists yet. The driver validates the MTI state and
+  // sums a pruned resume needs.
+  detail::ResumeState resume;
+  DenseMatrix initial;
   if (sem_opts.resume && !sem_opts.checkpoint_path.empty() &&
       checkpoint_exists(sem_opts.checkpoint_path)) {
-    restored = load_checkpoint(sem_opts.checkpoint_path);
+    Checkpoint restored = load_checkpoint(sem_opts.checkpoint_path);
     if (restored.n() != n || restored.k() != k ||
         restored.centroids.cols() != d)
       throw std::runtime_error(
           "sem::kmeans: checkpoint shape does not match dataset/options");
-    if (opts.prune && restored.upper_bounds.empty())
-      throw std::runtime_error(
-          "sem::kmeans: checkpoint lacks MTI state but pruning is on");
-    resumed = true;
+    resume.iteration = restored.iteration;
+    resume.assignments = std::move(restored.assignments);
+    resume.upper_bounds = std::move(restored.upper_bounds);
+    resume.sums = std::move(restored.sums);
+    resume.counts = std::move(restored.counts);
+    initial = std::move(restored.centroids);
+  } else {
+    initial = sem_init_centroids(file, engine, opts);
   }
-
-  DenseMatrix cur = resumed ? std::move(restored.centroids)
-                            : sem_init_centroids(file, engine, opts);
-  DenseMatrix prev(static_cast<index_t>(k), d);
-  // Padded centroid tile for the blocked full-scan and subset kernels;
-  // repacked on the calling thread before each iteration's super-phase.
-  kernels::CentroidPack pack;
-  if (resumed) res.assignments = std::move(restored.assignments);
-
-  MtiState mti;
-  if (opts.prune) {
-    mti = MtiState(n, k);
-    // prev == empty: drift 0. Restored bounds were pre-loosened against the
-    // checkpointed centroids, so drift 0 keeps them valid.
-    mti.prepare(DenseMatrix{}, cur, K);
-    if (resumed)
-      for (index_t i = 0; i < n; ++i)
-        mti.set_ub(i, restored.upper_bounds[static_cast<std::size_t>(i)]);
-  }
-  ScopedAlloc mem_mti("mti-state", opts.prune ? mti.bytes() : 0);
-
-  // Persistent centroid accumulators (sums/counts), updated by deltas.
-  DenseMatrix sums(static_cast<index_t>(k), d);
-  std::vector<std::int64_t> counts(static_cast<std::size_t>(k), 0);
-  if (resumed && !restored.sums.empty()) {
-    sums = std::move(restored.sums);
-    counts = std::move(restored.counts);
-  }
-  const int start_iter = resumed ? static_cast<int>(restored.iteration) : 0;
 
   numa::Partitioner parts(n, T, topo);
   sched::Scheduler sched(T, topo, /*bind=*/opts.numa_bind, opts.sched);
@@ -188,273 +315,32 @@ Result kmeans(const std::string& path, const Options& opts,
                      use_rc ? row_cache.capacity_rows() * d * sizeof(value_t)
                             : 0);
 
-  // Per-chunk membership deltas, applied to the persistent sums in chunk
-  // order: like knori, the accumulation is keyed to the (n, task_size)
-  // chunk grid rather than to threads, so knors results are bitwise
-  // invariant to steal order and thread count (DESIGN.md §7). I/O-
-  // completion work stays on the same queues: a worker that finishes its
-  // node's chunks steals I/O-feeding chunks from the cheapest remote node.
-  ChunkAccum<SignedCentroids> deltas(chunks, k, d);
-  std::vector<SemPerThread> per_thread(static_cast<std::size_t>(T));
-
-  const index_t batch_rows =
-      sem_opts.io_batch_rows == 0 ? 2048 : sem_opts.io_batch_rows;
-
-  // Per-iteration baselines for the device/engine monotonic counters.
+  // Per-iteration I/O statistics start after initialization's reads.
   engine.reset_stats();
   file.reset_stats();
-  std::uint64_t last_requested = 0;
-  std::uint64_t last_read = 0;
-  std::uint64_t last_reqs = 0;
-
-  const auto tol_changes =
-      static_cast<std::uint64_t>(opts.tolerance * static_cast<double>(n));
-  bool refresh_mode = false;
-
-  // Assign + accumulate for one fetched (or cached) row that survived
-  // clause 1; `chunk` selects the deterministic accumulator slot of the
-  // task being processed.
-  const auto process_row = [&](int tid, std::uint32_t chunk, index_t r,
-                               const value_t* v) {
-    auto& pt = per_thread[static_cast<std::size_t>(tid)];
-    const cluster_t a = res.assignments[r];
-    cluster_t best;
-    if (opts.prune && a != kInvalidCluster) {
-      // The pruned-assign step shared with knori/knord (core/mti.hpp).
-      best = mti.assign(r, v, a, K, pack, pt.counters);
-    } else {
-      value_t best_sq = 0;
-      best = K.nearest_blocked(v, pack, &best_sq);
-      pt.counters.dist_computations += static_cast<std::uint64_t>(k);
-      // The MTI upper bound is a true distance.
-      if (opts.prune) mti.set_ub(r, std::sqrt(best_sq));
-    }
-    if (a == kInvalidCluster) {
-      deltas.touch(chunk).add(best, v);
-      ++pt.changed;
-    } else if (best != a) {
-      auto& delta = deltas.touch(chunk);
-      delta.sub(a, v);
-      delta.add(best, v);
-      ++pt.changed;
-    }
-    res.assignments[r] = best;
-  };
-
-  const auto worker = [&](int tid) {
-    const double cpu_start = thread_cpu_seconds();
-    auto& pt = per_thread[static_cast<std::size_t>(tid)];
-    pt.changed = 0;
-    pt.active = 0;
-    pt.rc_hits = 0;
-
-    std::vector<index_t> needed;
-    std::vector<index_t> to_fetch;
-    std::vector<index_t> fetch_now, fetch_next;
-    DenseMatrix buf_now(batch_rows, d), buf_next(batch_rows, d);
-
-    sched::Task task;
-    while (sched.next_chunk(tid, task)) {
-      // Pass 1 — no data access: clause 1 decides which rows need I/O.
-      needed.clear();
-      for (index_t r = task.begin; r < task.end; ++r) {
-        const cluster_t a = res.assignments[r];
-        // Clause 1: assignment provably unchanged — no I/O, no compute.
-        if (opts.prune && a != kInvalidCluster && mti.skip(r, a, pt.counters))
-          continue;
-        needed.push_back(r);
-      }
-      pt.active += needed.size();
-
-      // Row-cache pass: serve hits immediately, queue the rest.
-      to_fetch.clear();
-      for (index_t r : needed) {
-        const value_t* cached =
-            use_rc ? row_cache.lookup(task.chunk, r) : nullptr;
-        if (cached != nullptr) {
-          ++pt.rc_hits;
-          process_row(tid, task.chunk, r, cached);
-          if (refresh_mode) row_cache.offer(task.chunk, r, cached);
-        } else {
-          to_fetch.push_back(r);
-        }
-      }
-
-      // Double-buffered fetch: prefetch batch i+1 while processing batch i.
-      std::size_t pos = 0;
-      const auto take_batch = [&](std::vector<index_t>& dst) {
-        dst.clear();
-        const std::size_t end =
-            std::min(to_fetch.size(), pos + static_cast<std::size_t>(batch_rows));
-        dst.assign(to_fetch.begin() + static_cast<std::ptrdiff_t>(pos),
-                   to_fetch.begin() + static_cast<std::ptrdiff_t>(end));
-        pos = end;
-      };
-      take_batch(fetch_now);
-      while (!fetch_now.empty()) {
-        take_batch(fetch_next);
-        IoEngine::Ticket ticket;
-        if (!fetch_next.empty()) ticket = engine.prefetch(fetch_next);
-        {
-          const std::uint64_t t0 = obs::Tracer::now_us();
-          engine.fetch_rows(fetch_now, buf_now.data());
-          io_wait_us.record(obs::Tracer::now_us() - t0);
-        }
-        for (std::size_t i = 0; i < fetch_now.size(); ++i) {
-          const index_t r = fetch_now[i];
-          const value_t* v = buf_now.row(static_cast<index_t>(i));
-          process_row(tid, task.chunk, r, v);
-          if (refresh_mode) row_cache.offer(task.chunk, r, v);
-        }
-        ticket.wait();
-        std::swap(fetch_now, fetch_next);
-      }
-    }
-    pt.busy_s += thread_cpu_seconds() - cpu_start;
-  };
-
-  for (int it = start_iter; it < opts.max_iters; ++it) {
-    WallTimer timer;
-    pack.pack(cur);
-    if (use_rc && row_cache.refresh_due(it + 1)) {
-      // Plan the row cache's quotas from this iteration's clause-1
-      // survivors per chunk (the workers' pass 1, without side effects).
-      std::vector<std::size_t> active(chunks, 0);
-      for (index_t r = 0; r < n; ++r) {
-        const cluster_t a = res.assignments[r];
-        if (!opts.prune || a == kInvalidCluster ||
-            !mti.clause1(a, mti.ub(r) + mti.drift(a)))
-          ++active[static_cast<std::size_t>(r / task_size)];
-      }
-      row_cache.plan(active);
-    }
-    refresh_mode = use_rc && row_cache.begin_iteration(it + 1) ==
-                                 RowCache::Mode::kRefresh;
-    sched.begin_chunks(n, task_size, &parts);
-    const std::uint64_t rc_hits_before = row_cache.hits();
-    {
-      obs::Span span_assign("assign");
-      sched.run(worker);
-    }
-    if (refresh_mode) row_cache.publish();
-    obs::Span span_update("update");
-
-    // Apply the dirty chunk deltas to the persistent sums in ascending
-    // chunk order (fixed, thread-count-independent association), then
-    // recompute means.
-    for (std::size_t c = 0; c < chunks; ++c)
-      if (deltas.dirty(c)) deltas.slot(c).apply_to(sums.data(), counts.data());
-    deltas.next_iteration();
-    std::memcpy(prev.data(), cur.data(), cur.size() * sizeof(value_t));
-    res.cluster_sizes.assign(static_cast<std::size_t>(k), 0);
-    for (int c = 0; c < k; ++c) {
-      const std::int64_t count = counts[static_cast<std::size_t>(c)];
-      res.cluster_sizes[static_cast<std::size_t>(c)] =
-          count > 0 ? static_cast<index_t>(count) : 0;
-      if (count <= 0) continue;  // empty cluster: keep previous centroid
-      value_t* dst = cur.row(static_cast<index_t>(c));
-      const value_t* s = sums.row(static_cast<index_t>(c));
-      const value_t inv = static_cast<value_t>(1.0) / static_cast<value_t>(count);
-      for (index_t j = 0; j < d; ++j) dst[j] = s[j] * inv;
-    }
-    if (opts.prune) mti.prepare(prev, cur, K);
-
-    std::uint64_t changed = 0;
-    if (stats != nullptr) {
-      IterIo io;
-      io.bytes_requested = engine.bytes_requested() - last_requested;
-      io.bytes_read = file.bytes_read() - last_read;
-      io.device_requests = file.read_requests() - last_reqs;
-      io.row_cache_hits = row_cache.hits() - rc_hits_before;
-      for (const auto& pt : per_thread) io.active_rows += pt.active;
-      stats->per_iter.push_back(io);
-    }
-    last_requested = engine.bytes_requested();
-    last_read = file.bytes_read();
-    last_reqs = file.read_requests();
-    for (const auto& pt : per_thread) changed += pt.changed;
-
-    res.iter_times.record(timer.elapsed());
-    ++res.iters;
-
-    if (!sem_opts.checkpoint_path.empty() &&
-        sem_opts.checkpoint_interval > 0 &&
-        (it + 1) % sem_opts.checkpoint_interval == 0) {
-      Checkpoint ckpt;
-      ckpt.iteration = static_cast<std::uint64_t>(it + 1);
-      ckpt.centroids = cur;
-      ckpt.assignments = res.assignments;
-      if (opts.prune) {
-        // Store bounds pre-loosened against the *current* centroids so the
-        // resume path can start with drift 0 and stay exact.
-        ckpt.upper_bounds.resize(static_cast<std::size_t>(n));
-        for (index_t i = 0; i < n; ++i)
-          ckpt.upper_bounds[static_cast<std::size_t>(i)] =
-              mti.ub(i) + mti.drift(res.assignments[i]);
-      }
-      ckpt.sums = sums;
-      ckpt.counts = counts;
-      save_checkpoint(sem_opts.checkpoint_path, ckpt);
-    }
-
-    if (changed <= tol_changes) {
-      res.converged = true;
-      break;
-    }
-  }
-
-  // Steal statistics before the energy pass reuses the queues.
-  const sched::StealStats steals = sched.total_stats();
-
-  // Exact final energy: stream every row once (not counted in iteration
-  // I/O statistics). Per-chunk partial energies summed in chunk order keep
-  // the FP result thread-count independent like the centroid reduction.
-  {
-    obs::Span span_energy("energy");
-    std::vector<double> chunk_energy(chunks, 0.0);
-    sched.begin_chunks(n, task_size, &parts);
-    sched.run([&](int tid) {
-      DenseMatrix buf(batch_rows, d);
-      std::vector<index_t> batch;
-      sched::Task task;
-      while (sched.next_chunk(tid, task)) {
-        double e = 0.0;
-        for (index_t begin = task.begin; begin < task.end;
-             begin += batch_rows) {
-          const index_t end = std::min(task.end, begin + batch_rows);
-          batch.clear();
-          for (index_t r = begin; r < end; ++r) batch.push_back(r);
-          engine.fetch_rows(batch, buf.data());
-          for (index_t r = begin; r < end; ++r)
-            e += K.dist_sq(buf.row(r - begin), cur.row(res.assignments[r]),
-                           d);
-        }
-        chunk_energy[task.chunk] = e;
-      }
-    });
-    for (const double e : chunk_energy) res.energy += e;
-  }
-
-  for (const auto& pt : per_thread) {
-    res.counters += pt.counters;
-    res.thread_busy_s.push_back(pt.busy_s);
-  }
-  res.counters.tasks_own = steals.own;
-  res.counters.tasks_same_node = steals.same_node;
-  res.counters.tasks_remote_node = steals.remote_node;
+  SemData data(file, engine, row_cache, use_rc, task_size, T,
+               sem_opts.io_batch_rows == 0 ? 2048 : sem_opts.io_batch_rows,
+               stats);
+  CheckpointWriter writer(sem_opts.checkpoint_path,
+                          sem_opts.checkpoint_interval);
+  const bool checkpoints = !sem_opts.checkpoint_path.empty() &&
+                           sem_opts.checkpoint_interval > 0;
+  Result res = detail::run_parallel_lloyd(
+      data, n, d, opts, std::move(initial), sched, parts, nullptr, &resume,
+      checkpoints ? &writer : nullptr);
+  // The driver counts on from the checkpoint; report this call's share.
+  res.iters -= static_cast<std::size_t>(resume.iteration);
 
   // Publish the run's SEM counters (classification per the SemStats
   // contract in sem_kmeans.hpp): demand-side request volume, row-cache
-  // hits and clause-1 active-row counts are pure functions of
-  // (data, opts); supply-side page traffic races on which worker faults a
-  // shared page first, so page-cache hits/misses, device bytes and request
-  // counts are timing-class.
+  // hits and clause-1 active-row counts (sem.active_rows, added per
+  // iteration) are pure functions of (data, opts); supply-side page traffic
+  // races on which worker faults a shared page first, so page-cache
+  // hits/misses, device bytes and request counts are timing-class. The
+  // driver already published the core.* and sched.* counters.
   using obs::Det;
-  std::uint64_t active_rows = 0;
-  for (const auto& pt : per_thread) active_rows += pt.active;
   reg.counter("sem.bytes_requested", Det::kDeterministic)
       .add(engine.bytes_requested());
-  reg.counter("sem.active_rows", Det::kDeterministic).add(active_rows);
   reg.counter("sem.row_cache_hits", Det::kDeterministic)
       .add(row_cache.hits());
   reg.counter("sem.bytes_read", Det::kTiming).add(file.bytes_read());
@@ -463,14 +349,7 @@ Result kmeans(const std::string& path, const Options& opts,
   reg.counter("sem.page_cache_hits", Det::kTiming).add(page_cache.hits());
   reg.counter("sem.page_cache_misses", Det::kTiming)
       .add(page_cache.misses());
-  // Core counter parity (core/run_metrics.hpp): the SEM engine's distance
-  // and pruning work must show up under the same core.* names as the
-  // in-memory engines, so --metrics agrees with Result::counters here too.
-  // This also covers the sched.tasks_* names from res.counters.
-  knor::detail::publish_run_counters(res);
   res.metrics = obs::diff(obs_before, reg.snapshot());
-
-  res.centroids = std::move(cur);
   return res;
 }
 

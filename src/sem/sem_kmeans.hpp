@@ -8,9 +8,12 @@
 // lazily-updated row cache, then the page cache, then merged-extent reads
 // from the device, with batch prefetch overlapping I/O and compute.
 //
-// Centroids are maintained incrementally: persistent global sums/counts
-// receive per-thread deltas (join/leave) from points that changed
-// membership, so unchanged points contribute neither I/O nor computation.
+// knors is a data source of the Lloyd driver knori and knord run on
+// (core/engine_impl.hpp): the same per-row step, per-chunk accumulators and
+// fixed-tree fold. Under MTI, centroids are maintained incrementally:
+// persistent global sums/counts receive per-chunk deltas (join/leave) from
+// points that changed membership, so unchanged points contribute neither
+// I/O nor computation.
 #pragma once
 
 #include <cstdint>

@@ -8,12 +8,13 @@
 // Why bitwise equality is attainable across backends: the dataset is
 // integer-valued (generated, then rounded), so every centroid-sum partial
 // is an exactly-representable double and FP addition is associative over
-// them — any grouping (per-chunk fold, per-rank allreduce, SEM's
-// cache-then-fetch order) yields the same exact sums, the same quotients
-// sum/count, and therefore the same centroid doubles everywhere. Within a
-// single backend the per-chunk reduction makes results bitwise stable even
-// on non-integer data (tests/exactness_test.cpp pins that); integer data
-// extends the guarantee across backends with different reduction shapes.
+// them — any grouping (per-chunk fold, per-rank allreduce) yields the same
+// exact sums, the same quotients sum/count, and therefore the same centroid
+// doubles everywhere. Within a single backend the per-chunk reduction makes
+// results bitwise stable even on non-integer data (tests/exactness_test.cpp
+// pins that); integer data extends the guarantee across backends with
+// different reduction shapes. knors and knori share one driver and one
+// reduction shape, so they must agree bitwise on non-integer data too.
 // Energy is a sum of distances to *fractional* centroids, so it is only
 // compared to 1e-12 relative tolerance.
 #include <gtest/gtest.h>
@@ -173,6 +174,52 @@ TEST_F(ConformanceTest, SemMatchesInMemory) {
     }
   }
   std::remove(path.c_str());
+
+  // Non-integer data: knors runs knori's driver over a file instead of
+  // memory — same per-row step, same row order within a chunk, same fold —
+  // so everything, energy included, must match bitwise. Small I/O batches
+  // and a row cache holding about half the rows interleave cached and
+  // fetched rows inside a task.
+  data::GeneratorSpec spec;
+  spec.n = 20000;
+  spec.d = 12;
+  spec.true_clusters = 8;
+  spec.seed = 17;
+  const std::string real_path = ::testing::TempDir() + "conformance_real.kmat";
+  data::write_generated(real_path, spec);
+  const DenseMatrix real = data::generate(spec);
+  for (const bool prune : {false, true}) {
+    Options opts;
+    opts.k = 8;
+    opts.seed = 5;
+    opts.max_iters = 15;
+    opts.prune = prune;
+    opts.threads = 4;
+    const Result ref = kmeans(real.const_view(), opts);
+    for (const int threads : {1, 4}) {
+      for (const bool row_cache : {false, true}) {
+        opts.threads = threads;
+        sem::SemOptions sopts;
+        sopts.page_cache_bytes = 1 << 16;
+        sopts.row_cache_enabled = row_cache;
+        sopts.io_batch_rows = 16;
+        const Result res = sem::kmeans(real_path, opts, sopts);
+        const std::string what = std::string("real sem") +
+                                 (prune ? " mti" : " full") +
+                                 (row_cache ? " +rc" : " -rc") +
+                                 " T=" + std::to_string(threads);
+        EXPECT_EQ(res.iters, ref.iters) << what;
+        ASSERT_EQ(res.assignments, ref.assignments) << what;
+        EXPECT_EQ(std::memcmp(res.centroids.data(), ref.centroids.data(),
+                              ref.centroids.size() * sizeof(value_t)),
+                  0)
+            << what << ": centroids differ bitwise";
+        EXPECT_EQ(std::memcmp(&res.energy, &ref.energy, sizeof(double)), 0)
+            << what << ": energy " << res.energy << " vs " << ref.energy;
+      }
+    }
+  }
+  std::remove(real_path.c_str());
 }
 
 TEST_F(ConformanceTest, KnordMatchesAcrossRankCounts) {

@@ -5,7 +5,9 @@
 #include <unistd.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
+#include <string>
 
 #include "core/knori.hpp"
 #include "core/variants.hpp"
@@ -266,6 +268,59 @@ TEST_P(CheckpointResume, ResumedRunMatchesUninterrupted) {
             1e-9);
   for (std::size_t i = 0; i < uninterrupted.assignments.size(); ++i)
     ASSERT_EQ(resumed.assignments[i], uninterrupted.assignments[i]) << i;
+}
+
+// A checkpoint may carry no sums block: knord writes one with pruning off,
+// and the format makes the block optional. Pruning off rebuilds the sums
+// every iteration, so the resume must still be bitwise exact; pruning on
+// cannot rebuild them, so the resume must be refused, naming the sums.
+TEST_P(CheckpointResume, CheckpointWithoutSumsResumesExactlyOrIsRejected) {
+  const bool prune = GetParam();
+  data::GeneratorSpec spec;
+  spec.n = 3000;
+  spec.d = 5;
+  spec.dist = data::Distribution::kUniformRandom;
+  const std::string matrix = dir_ / "m.kmat";
+  data::write_generated(matrix, spec);
+
+  Options opts;
+  opts.k = 6;
+  opts.threads = 2;
+  opts.max_iters = 30;
+  opts.prune = prune;
+  const Result uninterrupted = sem::kmeans(matrix, opts, sem::SemOptions{});
+
+  sem::SemOptions with_ckpt;
+  with_ckpt.checkpoint_path = dir_ / "run.ckpt";
+  with_ckpt.checkpoint_interval = 8;
+  Options first_leg = opts;
+  first_leg.max_iters = 8;
+  sem::kmeans(matrix, first_leg, with_ckpt);
+  sem::Checkpoint ckpt = sem::load_checkpoint(with_ckpt.checkpoint_path);
+  ASSERT_EQ(ckpt.iteration, 8u);
+  ckpt.sums = DenseMatrix();
+  ckpt.counts.clear();
+  sem::save_checkpoint(with_ckpt.checkpoint_path, ckpt);
+
+  sem::SemOptions resume_opts = with_ckpt;
+  resume_opts.resume = true;
+  if (prune) {
+    try {
+      sem::kmeans(matrix, opts, resume_opts);
+      ADD_FAILURE() << "pruned resume without sums was accepted";
+    } catch (const std::exception& e) {
+      EXPECT_NE(std::string(e.what()).find("sums"), std::string::npos)
+          << e.what();
+    }
+    return;
+  }
+  const Result resumed = sem::kmeans(matrix, opts, resume_opts);
+  EXPECT_EQ(resumed.iters + 8, uninterrupted.iters);
+  ASSERT_EQ(resumed.assignments, uninterrupted.assignments);
+  EXPECT_EQ(std::memcmp(resumed.centroids.data(),
+                        uninterrupted.centroids.data(),
+                        uninterrupted.centroids.size() * sizeof(value_t)),
+            0);
 }
 
 INSTANTIATE_TEST_SUITE_P(PruneModes, CheckpointResume, ::testing::Bool(),
