@@ -4,225 +4,170 @@
 // correctness oracle for MTI and to let the Table 1 / Figure 8 benches show
 // the memory trade-off the paper makes (O(nk) vs O(n) extra state).
 //
-// Runs on the work-stealing scheduler: every per-point step (bounds, argmin)
-// is row-local, so the assignment pass and the bounds-drift pass both
-// parallelize as chunked loops; centroid sums accumulate per chunk and fold
-// with the fixed tree, keeping results bitwise independent of thread count
-// and steal order like the main engine (DESIGN.md §7).
+// An assign step of the shared ||Lloyd's driver (core/engine_impl.hpp):
+// every per-point step (bounds, argmin) is row-local, so it runs on the
+// work-stealing scheduler with the driver's per-chunk sums and fixed-tree
+// fold, bitwise independent of thread count and steal order (DESIGN.md §7).
 #include <cmath>
 #include <limits>
 #include <vector>
 
 #include "common/memory_tracker.hpp"
-#include "common/timer.hpp"
-#include "core/chunk_accum.hpp"
+#include "core/engine_impl.hpp"
 #include "core/engines.hpp"
 #include "core/init.hpp"
 #include "core/kernels/simd.hpp"
 #include "core/run_metrics.hpp"
-#include "core/local_centroids.hpp"
-#include "numa/partitioner.hpp"
-#include "numa/topology.hpp"
-#include "sched/scheduler.hpp"
 
 namespace knor {
+namespace {
 
-Result elkan_ti(ConstMatrixView data, const Options& opts) {
-  const kernels::Ops& K = kernels::ops_for(opts.simd);
-  knor::detail::RunMetricsScope run_metrics;
-  // Elkan's bound algebra is in TRUE distances; the kernels return squared.
-  const auto edist = [&K](const value_t* a, const value_t* b, index_t dim) {
-    return std::sqrt(K.dist_sq(a, b, dim));
-  };
-  const index_t n = data.rows();
-  const index_t d = data.cols();
-  const int k = opts.k;
+class ElkanStep {
+ public:
+  ElkanStep(index_t n, index_t d, int k, const kernels::Ops& K)
+      : d_(d),
+        k_(k),
+        K_(K),
+        ub_(static_cast<std::size_t>(n),
+            std::numeric_limits<value_t>::infinity()),
+        lb_(static_cast<std::size_t>(n) * k, 0),
+        c2c_(static_cast<std::size_t>(k) * k, 0),
+        s_half_(static_cast<std::size_t>(k), 0),
+        drift_(static_cast<std::size_t>(k), 0),
+        mem_lb_("elkan-lower-bounds", lb_.size() * sizeof(value_t)),
+        mem_ub_("elkan-upper-bounds", ub_.size() * sizeof(value_t)) {}
 
-  Result res;
-  res.assignments.assign(static_cast<std::size_t>(n), kInvalidCluster);
-  DenseMatrix cur = init_centroids(data, opts);
-  DenseMatrix next(static_cast<index_t>(k), d);
-
-  const auto topo = opts.numa_nodes > 0
-                        ? numa::Topology::simulated(opts.numa_nodes)
-                        : numa::Topology::detect();
-  const int T = opts.threads > 0 ? opts.threads : topo.num_cpus();
-  numa::Partitioner parts(n, T, topo);
-  sched::Scheduler sched(T, topo, /*bind=*/opts.numa_aware && opts.numa_bind,
-                         opts.sched);
-  const index_t task_size =
-      sched::Scheduler::resolve_task_size(n, opts.task_size);
-  const auto chunks =
-      static_cast<std::size_t>(sched::Scheduler::num_chunks(n, task_size));
-  ChunkAccum<LocalCentroids> acc(chunks, k, d);
-  struct alignas(kCacheLine) PerThread {
-    Counters counters;
-    std::uint64_t changed = 0;
-  };
-  std::vector<PerThread> per_thread(static_cast<std::size_t>(T));
-
-  // Elkan state: upper bound u(x), lower bounds l(x,c) — the O(nk) matrix —
-  // plus the c2c distances and per-centroid separations.
-  std::vector<value_t> ub(static_cast<std::size_t>(n),
-                          std::numeric_limits<value_t>::infinity());
-  std::vector<value_t> lb(static_cast<std::size_t>(n) * k, 0);
-  std::vector<value_t> c2c(static_cast<std::size_t>(k) * k, 0);
-  std::vector<value_t> s_half(static_cast<std::size_t>(k), 0);
-  std::vector<value_t> drift(static_cast<std::size_t>(k), 0);
-  ScopedAlloc mem_lb("elkan-lower-bounds", lb.size() * sizeof(value_t));
-  ScopedAlloc mem_ub("elkan-upper-bounds", ub.size() * sizeof(value_t));
-
-  const auto lbi = [&](index_t r, int c) -> value_t& {
-    return lb[static_cast<std::size_t>(r) * k + c];
-  };
-
-  const auto prepare = [&] {
-    for (int a = 0; a < k; ++a)
-      for (int b = a + 1; b < k; ++b) {
+  /// Steps 5-6's drift d(c, c') of every centroid, then the c2c table and
+  /// the separations s(c) = min d(c, c')/2 for the next pass. The bounds
+  /// themselves loosen by the drift row by row, in assign().
+  void update(const DenseMatrix& prev, DenseMatrix& cur) {
+    cur_ = &cur;
+    if (!prev.empty())
+      for (int c = 0; c < k_; ++c)
+        drift_[static_cast<std::size_t>(c)] =
+            edist(prev.row(static_cast<index_t>(c)),
+                  cur.row(static_cast<index_t>(c)));
+    for (int a = 0; a < k_; ++a)
+      for (int b = a + 1; b < k_; ++b) {
         const value_t dab = edist(cur.row(static_cast<index_t>(a)),
-                                  cur.row(static_cast<index_t>(b)), d);
-        c2c[static_cast<std::size_t>(a) * k + b] = dab;
-        c2c[static_cast<std::size_t>(b) * k + a] = dab;
+                                  cur.row(static_cast<index_t>(b)));
+        c2c_[static_cast<std::size_t>(a) * k_ + b] = dab;
+        c2c_[static_cast<std::size_t>(b) * k_ + a] = dab;
       }
-    for (int a = 0; a < k; ++a) {
+    for (int a = 0; a < k_; ++a) {
       value_t m = std::numeric_limits<value_t>::infinity();
-      for (int b = 0; b < k; ++b)
-        if (b != a) m = std::min(m, c2c[static_cast<std::size_t>(a) * k + b]);
-      s_half[static_cast<std::size_t>(a)] = k > 1 ? m * value_t(0.5) : 0;
+      for (int b = 0; b < k_; ++b)
+        if (b != a) m = std::min(m, c2c(a, b));
+      s_half_[static_cast<std::size_t>(a)] = k_ > 1 ? m * value_t(0.5) : 0;
     }
-  };
+  }
 
-  // One point of the assignment pass; accumulates into `slot`.
-  const auto process_point = [&](index_t r, LocalCentroids& slot,
-                                 PerThread& pt) {
-    const value_t* v = data.row(r);
-    cluster_t a = res.assignments[r];
+  cluster_t assign(index_t r, const value_t* v, cluster_t a, Counters& cnt) {
+    value_t* lb = &lb_[static_cast<std::size_t>(r) * k_];
     if (a == kInvalidCluster) {
       // First iteration: full scan seeds both bound structures.
-      value_t best_d = edist(v, cur.row(0), d);
-      ++pt.counters.dist_computations;
-      lbi(r, 0) = best_d;
+      value_t best_d = dist(v, 0, cnt);
+      lb[0] = best_d;
       cluster_t best = 0;
-      for (int c = 1; c < k; ++c) {
-        const value_t dc = edist(v, cur.row(static_cast<index_t>(c)), d);
-        ++pt.counters.dist_computations;
-        lbi(r, c) = dc;
+      for (int c = 1; c < k_; ++c) {
+        const value_t dc = dist(v, c, cnt);
+        lb[c] = dc;
         if (dc < best_d) {
           best_d = dc;
           best = static_cast<cluster_t>(c);
         }
       }
-      ub[r] = best_d;
-      res.assignments[r] = best;
-      ++pt.changed;
-      slot.add(best, v);
-      return;
+      ub_[r] = best_d;
+      return best;
     }
 
+    // Steps 5-6 for this row: loosen its bounds by the last update's drift.
+    for (int c = 0; c < k_; ++c)
+      lb[c] = std::max(value_t(0),
+                       lb[c] - drift_[static_cast<std::size_t>(c)]);
+    ub_[r] += drift_[a];
+
     // Elkan step 2: skip the whole point when u(x) <= s(c(x)).
-    if (ub[r] <= s_half[a]) {
-      ++pt.counters.clause1_skips;
-      slot.add(a, v);
-      return;
+    if (ub_[r] <= s_half_[a]) {
+      ++cnt.clause1_skips;
+      return a;
     }
     bool tight = false;
-    value_t best_d = ub[r];
+    value_t best_d = ub_[r];
     cluster_t best = a;
-    for (int c = 0; c < k; ++c) {
+    for (int c = 0; c < k_; ++c) {
       if (static_cast<cluster_t>(c) == best) continue;
       // Step 3 conditions: candidate must beat both its lower bound and
       // the inter-centroid separation.
-      if (best_d <= lbi(r, c)) {
-        ++pt.counters.clause2_skips;
+      if (best_d <= lb[c]) {
+        ++cnt.clause2_skips;
         continue;
       }
-      if (best_d <= value_t(0.5) *
-                        c2c[static_cast<std::size_t>(best) * k + c]) {
-        ++pt.counters.clause3_skips;
+      if (best_d <= value_t(0.5) * c2c(best, c)) {
+        ++cnt.clause3_skips;
         continue;
       }
       if (!tight) {
         // 3a: tighten u(x) = d(x, c(x)).
-        best_d = edist(v, cur.row(best), d);
-        ++pt.counters.dist_computations;
-        lbi(r, best) = best_d;
+        best_d = dist(v, best, cnt);
+        lb[best] = best_d;
         tight = true;
-        if (best_d <= lbi(r, c) ||
-            best_d <= value_t(0.5) *
-                          c2c[static_cast<std::size_t>(best) * k + c])
+        if (best_d <= lb[c] || best_d <= value_t(0.5) * c2c(best, c))
           continue;
       }
       // 3b: compute d(x, c).
-      const value_t dc = edist(v, cur.row(static_cast<index_t>(c)), d);
-      ++pt.counters.dist_computations;
-      lbi(r, c) = dc;
+      const value_t dc = dist(v, c, cnt);
+      lb[c] = dc;
       if (dc < best_d) {
         best_d = dc;
         best = static_cast<cluster_t>(c);
       }
     }
-    if (best != a) ++pt.changed;
-    res.assignments[r] = best;
-    ub[r] = best_d;
-    slot.add(best, v);
-  };
-
-  const auto tol_changes =
-      static_cast<std::uint64_t>(opts.tolerance * static_cast<double>(n));
-
-  for (int it = 0; it < opts.max_iters; ++it) {
-    WallTimer timer;
-    prepare();
-
-    sched.begin_chunks(n, task_size, &parts);
-    sched.run([&](int tid) {
-      auto& pt = per_thread[static_cast<std::size_t>(tid)];
-      pt.changed = 0;
-      sched::Task task;
-      while (sched.next_chunk(tid, task)) {
-        auto& slot = acc.touch(task.chunk);
-        for (index_t r = task.begin; r < task.end; ++r)
-          process_point(r, slot, pt);
-      }
-      sched.barrier().arrive_and_wait();
-      acc.fold(tid, T, sched.barrier());
-    });
-
-    std::uint64_t changed = 0;
-    for (const auto& pt : per_thread) changed += pt.changed;
-
-    res.cluster_sizes = acc.merged().finalize_into(next, cur);
-    acc.next_iteration();
-    // Steps 5-6: update bounds by centroid drift (row-local, parallel).
-    for (int c = 0; c < k; ++c)
-      drift[static_cast<std::size_t>(c)] =
-          edist(cur.row(static_cast<index_t>(c)),
-                next.row(static_cast<index_t>(c)), d);
-    sched.parallel_for(n, task_size, &parts,
-                       [&](int, const sched::Task& task) {
-                         for (index_t r = task.begin; r < task.end; ++r) {
-                           for (int c = 0; c < k; ++c) {
-                             auto& l = lbi(r, c);
-                             l = std::max(value_t(0),
-                                          l - drift[static_cast<std::size_t>(c)]);
-                           }
-                           ub[r] += drift[res.assignments[r]];
-                         }
-                       });
-    std::swap(cur, next);
-    res.iter_times.record(timer.elapsed());
-    ++res.iters;
-    if (changed <= tol_changes) {
-      res.converged = true;
-      break;
-    }
+    ub_[r] = best_d;
+    return best;
   }
 
-  for (const auto& pt : per_thread) res.counters += pt.counters;
-  for (index_t r = 0; r < n; ++r)
-    res.energy += K.dist_sq(data.row(r), cur.row(res.assignments[r]), d);
-  res.centroids = std::move(cur);
-  run_metrics.finish(res);
+  double energy(const value_t* v, const value_t* c) const {
+    return K_.dist_sq(v, c, d_);
+  }
+
+ private:
+  // Elkan's bound algebra is in TRUE distances; the kernels return squared.
+  value_t edist(const value_t* a, const value_t* b) const {
+    return std::sqrt(K_.dist_sq(a, b, d_));
+  }
+  value_t dist(const value_t* v, int c, Counters& cnt) const {
+    ++cnt.dist_computations;
+    return edist(v, cur_->row(static_cast<index_t>(c)));
+  }
+  value_t c2c(int a, int b) const {
+    return c2c_[static_cast<std::size_t>(a) * k_ + b];
+  }
+
+  const index_t d_;
+  const int k_;
+  const kernels::Ops& K_;
+  const DenseMatrix* cur_ = nullptr;
+  // Elkan state: upper bound u(x), lower bounds l(x,c) — the O(nk) matrix —
+  // plus the c2c distances, per-centroid separations and the last drift.
+  std::vector<value_t> ub_;
+  std::vector<value_t> lb_;
+  std::vector<value_t> c2c_;
+  std::vector<value_t> s_half_;
+  std::vector<value_t> drift_;
+  ScopedAlloc mem_lb_;
+  ScopedAlloc mem_ub_;
+};
+
+}  // namespace
+
+Result elkan_ti(ConstMatrixView data, const Options& opts) {
+  detail::RunMetricsScope metrics;
+  DenseMatrix initial = init_centroids(data, opts);
+  ElkanStep step(data.rows(), data.cols(), opts.k,
+                 kernels::ops_for(opts.simd));
+  Result res = detail::run_node(step, data, opts, std::move(initial));
+  metrics.attach(res);
   return res;
 }
 

@@ -1,5 +1,8 @@
 // The ||Lloyd's parallel engine (paper Algorithm 1 + §5 optimizations),
-// templated over a data source so the same code drives:
+// templated over two axes: where the rows come from (the data source) and
+// what a row's assignment costs (the assign step).
+//
+// Data sources:
 //   * NumaData — rows partitioned across NUMA-node-local blocks (knori on
 //     a host with several physical nodes),
 //   * PartitionedView — the caller's rows in place under the same
@@ -22,6 +25,21 @@
 //     Driver-thread hooks around iteration `it`'s super-phase; needs_data(r)
 //     is clause 1's verdict without side effects.
 //
+// Assign steps: BlockedMtiStep, the default, is the driver's own blocked
+// full scan, with MTI (clause-1 skips, membership-delta sums, the pruned
+// subset scan) when opts.prune. Any other step runs with MTI off whatever
+// opts.prune says, rebuilds the per-chunk sums every iteration, and
+// supplies:
+//   cluster_t assign(index_t r, const value_t* v, cluster_t a, Counters&);
+//     Worker thread: row r's new cluster given its current one `a`
+//     (kInvalidCluster in the first iteration); counts its own work.
+//   void update(const DenseMatrix& prev, DenseMatrix& cur);
+//     Driver thread, once before the first iteration (prev empty) and
+//     after every centroid update; may adjust `cur` (spherical
+//     renormalises). Where MTI's prepare sits for the default step.
+//   double energy(const value_t* v, const value_t* c) const;
+//     Row v's term of Result::energy against its final centroid c.
+//
 // One Scheduler::run per iteration executes the super-phase: workers drain
 // the NUMA-partitioned work-stealing chunk queues (nearest-centroid + local
 // accumulation), hit the single global barrier, then fold the per-CHUNK
@@ -43,6 +61,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/logger.hpp"
 #include "common/memory_tracker.hpp"
 #include "common/timer.hpp"
 #include "core/chunk_accum.hpp"
@@ -53,6 +72,7 @@
 #include "core/run_metrics.hpp"
 #include "data/dataset.hpp"
 #include "numa/cost_model.hpp"
+#include "numa/numa_alloc.hpp"
 #include "numa/partitioner.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
@@ -123,6 +143,10 @@ struct PartitionedView {
   void end_iteration() const {}
 };
 
+/// The default assign step (see the header comment): its code is the
+/// driver's own.
+struct BlockedMtiStep {};
+
 struct alignas(kCacheLine) PerThread {
   Counters counters;
   std::uint64_t changed = 0;
@@ -142,15 +166,22 @@ struct alignas(kCacheLine) PerThread {
 /// resumed iteration bitwise identical to the same iteration of the
 /// uninterrupted run (see ResumeState). `observer` (nullable) is called at
 /// every iteration boundary but a converged one and may stop the run or
-/// throw (DESIGN.md §13).
-template <typename Data>
+/// throw (DESIGN.md §13). `step` is the assign step (header comment).
+///
+/// The driver publishes the run's counters into the global registry; the
+/// entry point takes the registry slice around its whole fit
+/// (RunMetricsScope), init included.
+template <typename Data, typename Step = BlockedMtiStep>
 Result run_parallel_lloyd(Data&& data, index_t n, index_t d,
                           const Options& opts, DenseMatrix initial,
                           sched::Scheduler& sched,
                           const numa::Partitioner& parts,
                           GlobalReducer* reducer = nullptr,
                           const ResumeState* resume = nullptr,
-                          IterObserver* observer = nullptr) {
+                          IterObserver* observer = nullptr,
+                          Step&& step = Step{}) {
+  constexpr bool kOwnStep =
+      !std::is_same_v<std::decay_t<Step>, BlockedMtiStep>;
   const int T = sched.threads();
   const int k = opts.k;
   // One ISA for the whole run, resolved from opts rather than the
@@ -165,25 +196,18 @@ Result run_parallel_lloyd(Data&& data, index_t n, index_t d,
   const auto chunks = static_cast<std::size_t>(
       sched::Scheduler::num_chunks(n, task_size));
 
-  // Per-run registry slice (DESIGN.md §10): diff a snapshot around the run
-  // and attach it to the Result. Skipped when a reducer is present — knord
-  // ranks run concurrently in one process, so a per-rank diff would
-  // interleave with its siblings; dist::kmeans attaches the cluster-level
-  // diff instead.
-  obs::Registry& reg = obs::Registry::global();
-  obs::Snapshot obs_before;
-  if (reducer == nullptr) obs_before = reg.snapshot();
-
+  // MTI belongs to the default step; any other step scans every row.
+  const bool prune = !kOwnStep && opts.prune;
   const bool resumed = resume != nullptr && resume->iteration > 0;
   if (resumed) {
     if (resume->assignments.size() != static_cast<std::size_t>(n))
       throw std::invalid_argument(
           "run_parallel_lloyd: resume assignments size mismatch");
-    if (opts.prune &&
+    if (prune &&
         resume->upper_bounds.size() != static_cast<std::size_t>(n))
       throw std::invalid_argument(
           "run_parallel_lloyd: resume lacks MTI bounds but pruning is on");
-    if (opts.prune &&
+    if (prune &&
         (resume->sums.rows() != static_cast<index_t>(k) ||
          resume->sums.cols() != d ||
          resume->counts.size() != static_cast<std::size_t>(k)))
@@ -200,7 +224,8 @@ Result run_parallel_lloyd(Data&& data, index_t n, index_t d,
   DenseMatrix prev(static_cast<index_t>(k), d);
 
   MtiState mti;
-  if (opts.prune) {
+  if constexpr (kOwnStep) step.update(DenseMatrix{}, cur);
+  if (prune) {
     mti = MtiState(n, k);
     // prev == empty: drift 0. Resumed bounds were pre-loosened against the
     // checkpointed centroids (now `cur`, see checkpoint_bounds), so drift 0
@@ -224,7 +249,6 @@ Result run_parallel_lloyd(Data&& data, index_t n, index_t d,
   //    all (this is what makes the skip profitable at small d, and is the
   //    in-memory analogue of knors's "no I/O request"); a fully-skipped
   //    chunk never even clears its slot (ChunkAccum's dirty bit).
-  const bool prune = opts.prune;
   ChunkAccum<LocalCentroids> locals(prune ? 0 : chunks, k, d);
   ChunkAccum<SignedCentroids> deltas(prune ? chunks : 0, k, d);
   DenseMatrix sums;
@@ -269,6 +293,13 @@ Result run_parallel_lloyd(Data&& data, index_t n, index_t d,
                            std::uint32_t chunk) {
     Counters& cnt = per_thread[static_cast<std::size_t>(tid)].counters;
     const cluster_t a = res.assignments[r];
+    if constexpr (kOwnStep) {
+      const cluster_t best = step.assign(r, v, a, cnt);
+      if (best != a) ++per_thread[static_cast<std::size_t>(tid)].changed;
+      res.assignments[r] = best;
+      locals.touch(chunk).add(best, v);
+      return;
+    }
     if (prune && a != kInvalidCluster) {
       // The shared pruned-assign step (clauses 2/3 + subset scan).
       const cluster_t best = mti.assign(r, v, a, K, pack, cnt);
@@ -350,7 +381,7 @@ Result run_parallel_lloyd(Data&& data, index_t n, index_t d,
   if (resumed) res.iters = static_cast<std::size_t>(resume->iteration);
   for (int it = start_iter; it < opts.max_iters; ++it) {
     WallTimer timer;
-    pack.pack(cur);
+    if constexpr (!kOwnStep) pack.pack(cur);
     data.begin_iteration(it, needs_data);
     sched.begin_chunks(n, task_size, &parts);
     {
@@ -410,6 +441,7 @@ Result run_parallel_lloyd(Data&& data, index_t n, index_t d,
     else
       locals.next_iteration();
     std::swap(cur, next);
+    if constexpr (kOwnStep) step.update(prev, cur);
     if (prune) mti.prepare(prev, cur, K);
 
     res.iter_times.record(timer.elapsed());
@@ -450,7 +482,11 @@ Result run_parallel_lloyd(Data&& data, index_t n, index_t d,
       data.visit_task(
           parts, tid, task, nullptr, [](index_t) { return false; },
           [&](index_t r, const value_t* v) {
-            e += K.dist_sq(v, cur.row(res.assignments[r]), d);
+            const value_t* c = cur.row(res.assignments[r]);
+            if constexpr (kOwnStep)
+              e += step.energy(v, c);
+            else
+              e += K.dist_sq(v, c, d);
           });
       chunk_energy[task.chunk] = e;
     });
@@ -469,14 +505,56 @@ Result run_parallel_lloyd(Data&& data, index_t n, index_t d,
   // Publish the run's counters into the global registry — bulk adds at run
   // end through the shared mapping (core/run_metrics.hpp), so the hot loops
   // above keep their plain per-thread structs and --metrics agrees with
-  // Result::counters by construction. The registry slice attaches only for
-  // single-run processes; knord ranks publish without attaching (their
-  // sibling ranks share the registry) and dist::kmeans diffs cluster-wide.
+  // Result::counters by construction.
   publish_run_counters(res);
-  if (reducer == nullptr) res.metrics = obs::diff(obs_before, reg.snapshot());
 
   res.centroids = std::move(cur);
   return res;
+}
+
+/// One node's worth of the engine over in-memory rows: topology, thread
+/// pool, NUMA partitioning and the choice of data source, then
+/// run_parallel_lloyd with `step`. The non-template run_node (knori.hpp)
+/// is this with the default step.
+template <typename Step>
+Result run_node(Step&& step, ConstMatrixView data, const Options& opts,
+                DenseMatrix initial, GlobalReducer* reducer = nullptr,
+                const ResumeState* resume = nullptr,
+                IterObserver* observer = nullptr) {
+  if (data.empty()) throw std::invalid_argument("kmeans: empty dataset");
+  const Workers w(opts);
+  const index_t n = data.rows();
+  const index_t d = data.cols();
+
+  numa::Partitioner parts(n, w.threads, w.topo);
+  // The NUMA-oblivious baseline runs unbound threads.
+  sched::Scheduler sched(w.threads, w.topo,
+                         /*bind=*/opts.numa_aware && opts.numa_bind,
+                         opts.sched);
+  const auto run = [&](auto&& source) {
+    return run_parallel_lloyd(source, n, d, opts, std::move(initial), sched,
+                              parts, reducer, resume, observer, step);
+  };
+  // NUMA-oblivious baseline: data wherever the original allocation's first
+  // touch put it (node 0 for accounting purposes).
+  if (!opts.numa_aware) return run(PartitionedView{data, nullptr});
+
+  KNOR_LOG_DEBUG("knori: n=", n, " d=", d, " k=", opts.k, " T=", w.threads,
+                 " nodes=", w.topo.num_nodes(),
+                 (opts.prune ? " mti=on" : " mti=off"));
+  // The dataset's bytes are charged either way (Table 1 accounts knori's
+  // data at n*d*8 whether it is the caller's matrix or a placed copy).
+  ScopedAlloc mem_ds("dataset", n * d * sizeof(value_t));
+  // One physical node: a partition copy cannot change where any row
+  // lives, so the fit runs over the caller's rows. The partition still
+  // assigns blocks to (possibly simulated) nodes, which keeps the
+  // local/remote counters and the remote penalty of a copy.
+  if (!numa::machine_has_multiple_nodes())
+    return run(PartitionedView{data, &parts});
+  // Several physical nodes: the copy IS the placement — each worker
+  // first-touches its own block on its node.
+  data::NumaDataset ds(data, parts, sched);
+  return run(NumaData{&ds});
 }
 
 }  // namespace knor::detail

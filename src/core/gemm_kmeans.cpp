@@ -32,7 +32,6 @@
 #include "core/kernels/simd.hpp"
 #include "core/local_centroids.hpp"
 #include "core/run_metrics.hpp"
-#include "numa/topology.hpp"
 #include "sched/scheduler.hpp"
 
 namespace knor {
@@ -52,11 +51,10 @@ Result gemm_kmeans(ConstMatrixView data, const Options& opts) {
   DenseMatrix cur = init_centroids(data, opts);
   DenseMatrix next(static_cast<index_t>(k), d);
 
-  const auto topo = opts.numa_nodes > 0
-                        ? numa::Topology::simulated(opts.numa_nodes)
-                        : numa::Topology::detect();
-  const int T = opts.threads > 0 ? opts.threads : topo.num_cpus();
-  sched::Scheduler sched(T, topo, /*bind=*/opts.numa_aware && opts.numa_bind,
+  const detail::Workers workers(opts);
+  const int T = workers.threads;
+  sched::Scheduler sched(T, workers.topo,
+                         /*bind=*/opts.numa_aware && opts.numa_bind,
                          opts.sched);
   const index_t task_size =
       sched::Scheduler::resolve_task_size(n, opts.task_size);

@@ -10,6 +10,7 @@
 #include "common/timer.hpp"
 #include "common/types.hpp"
 #include "core/kernels/simd.hpp"
+#include "numa/topology.hpp"
 #include "obs/registry.hpp"
 #include "sched/scheduler.hpp"
 
@@ -148,6 +149,18 @@ struct Result {
 class MtiState;
 
 namespace detail {
+
+/// The NUMA topology and worker count an Options selects: opts.numa_nodes
+/// > 0 simulates that many nodes, else the machine's (Topology::detect);
+/// opts.threads > 0 overrides one worker per CPU.
+struct Workers {
+  explicit Workers(const Options& opts)
+      : topo(opts.numa_nodes > 0 ? numa::Topology::simulated(opts.numa_nodes)
+                                 : numa::Topology::detect()),
+        threads(opts.threads > 0 ? opts.threads : topo.num_cpus()) {}
+  numa::Topology topo;
+  int threads;
+};
 
 /// Cross-node reduction hook for the parallel engine. Single-node runs pass
 /// nullptr; knord passes an adapter over Communicator::allreduce_sum so the

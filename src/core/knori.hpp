@@ -27,9 +27,10 @@ Result kmeans(ConstMatrixView data, const Options& opts);
 
 namespace detail {
 
-/// One node's worth of the ||Lloyd's engine: topology, thread pool, NUMA
-/// partitioning and the iteration loop over `data`, starting from the
-/// caller-supplied `initial` centroids. knori::kmeans calls this with
+/// One node's worth of the ||Lloyd's engine with the default (blocked
+/// scan / MTI) assign step: topology, thread pool, NUMA partitioning and
+/// the iteration loop over `data`, starting from the caller-supplied
+/// `initial` centroids (core/engine_impl.hpp has the form for any step). knori::kmeans calls this with
 /// reducer = nullptr; knord calls it on every rank with its row shard and
 /// a Communicator-backed reducer, which is all it takes to turn the
 /// single-node engine into the distributed one (paper §6). `resume`

@@ -17,7 +17,6 @@
 #include "core/kernels/simd.hpp"
 #include "core/run_metrics.hpp"
 #include "numa/partitioner.hpp"
-#include "numa/topology.hpp"
 #include "sched/scheduler.hpp"
 
 namespace knor {
@@ -28,10 +27,8 @@ Result lloyd_locked(ConstMatrixView data, const Options& opts) {
   const index_t n = data.rows();
   const index_t d = data.cols();
   const int k = opts.k;
-  const auto topo = opts.numa_nodes > 0
-                        ? numa::Topology::simulated(opts.numa_nodes)
-                        : numa::Topology::detect();
-  const int T = opts.threads > 0 ? opts.threads : topo.num_cpus();
+  const detail::Workers workers(opts);
+  const int T = workers.threads;
 
   Result res;
   res.assignments.assign(static_cast<std::size_t>(n), kInvalidCluster);
@@ -41,8 +38,8 @@ Result lloyd_locked(ConstMatrixView data, const Options& opts) {
   std::vector<std::mutex> locks(static_cast<std::size_t>(k));
   kernels::CentroidPack pack;
 
-  numa::Partitioner parts(n, T, topo);
-  sched::Scheduler sched(T, topo, /*bind=*/false);
+  numa::Partitioner parts(n, T, workers.topo);
+  sched::Scheduler sched(T, workers.topo, /*bind=*/false);
   std::vector<std::uint64_t> tchanged(static_cast<std::size_t>(T));
 
   const auto tol_changes =

@@ -17,7 +17,6 @@
 #include "core/kernels/simd.hpp"
 #include "core/run_metrics.hpp"
 #include "core/init.hpp"
-#include "numa/topology.hpp"
 #include "sched/scheduler.hpp"
 
 namespace knor {
@@ -38,11 +37,10 @@ Result minibatch(ConstMatrixView data, const Options& opts,
   std::vector<cluster_t> batch_assign(static_cast<std::size_t>(mb.batch_size));
   Prng rng(opts.seed, /*stream=*/0xba7c);
 
-  const auto topo = opts.numa_nodes > 0
-                        ? numa::Topology::simulated(opts.numa_nodes)
-                        : numa::Topology::detect();
-  const int T = opts.threads > 0 ? opts.threads : topo.num_cpus();
-  sched::Scheduler sched(T, topo, /*bind=*/opts.numa_aware && opts.numa_bind,
+  const detail::Workers workers(opts);
+  const int T = workers.threads;
+  sched::Scheduler sched(T, workers.topo,
+                         /*bind=*/opts.numa_aware && opts.numa_bind,
                          opts.sched);
   std::vector<std::uint64_t> tdists(static_cast<std::size_t>(T), 0);
 

@@ -1,14 +1,8 @@
 // Shared per-run observability publication — the counter-parity contract:
 // every engine's --metrics output must agree with its Result::counters.
-//
-// PR 6 moved the parallel engine onto the obs registry but left the other
-// engines (gemm, minibatch, serial, locked, elkan, variants, baselines)
-// publishing only the legacy Result::counters, so their runs were invisible
-// to core.dist_computations and res.metrics stayed empty. This header is
-// the one place the mapping from Counters fields to registry names and
-// determinism classes lives; every engine entry point funnels through it so
-// the two surfaces cannot drift again (tests/obs_test.cpp pins the parity
-// for each engine).
+// This header is the one place the mapping from Counters fields to registry
+// names and determinism classes lives; every engine funnels through it
+// (tests/obs_test.cpp pins the parity for each engine).
 #pragma once
 
 #include "core/kmeans_types.hpp"
@@ -45,18 +39,23 @@ inline void publish_run_counters(const Result& res) {
       .add(res.counters.tasks_remote_node);
 }
 
-/// Snapshot-diff scope for single-process engines: construct at entry,
-/// call finish(res) once the Counters are final — it publishes them and
-/// attaches the run's registry slice to res.metrics. Engines whose runs
-/// share the process registry with concurrent siblings (knord ranks) must
-/// publish without attaching; they call publish_run_counters directly.
+/// Per-fit registry slice (DESIGN.md §10): construct at the entry point,
+/// before init, and attach the slice once the fit is done. Engines on the
+/// shared driver (which publishes their counters) call attach(res); the
+/// others call finish(res) once their Counters are final, which publishes
+/// them first. knord ranks share the process registry with their
+/// siblings, so dist::kmeans takes one cluster-wide slice instead.
 class RunMetricsScope {
  public:
   RunMetricsScope() : before_(obs::Registry::global().snapshot()) {}
 
-  void finish(Result& res) {
-    publish_run_counters(res);
+  void attach(Result& res) const {
     res.metrics = obs::diff(before_, obs::Registry::global().snapshot());
+  }
+
+  void finish(Result& res) const {
+    publish_run_counters(res);
+    attach(res);
   }
 
  private:

@@ -4,16 +4,12 @@
 #include <stdexcept>
 
 #include "common/prng.hpp"
-#include "common/timer.hpp"
-#include "core/chunk_accum.hpp"
+#include "core/engine_impl.hpp"
 #include "core/init.hpp"
 #include "core/kernels/simd.hpp"
-#include "core/run_metrics.hpp"
 #include "core/local_centroids.hpp"
+#include "core/run_metrics.hpp"
 #include "core/variants.hpp"
-#include "numa/partitioner.hpp"
-#include "numa/topology.hpp"
-#include "sched/scheduler.hpp"
 
 namespace knor {
 namespace {
@@ -31,10 +27,7 @@ DenseMatrix seeded_init(ConstMatrixView data, const Options& opts,
   LocalCentroids seeds(k, d);
   for (index_t r = 0; r < n; ++r) {
     const cluster_t label = labels[r];
-    if (label == kInvalidCluster) continue;
-    if (label >= static_cast<cluster_t>(k))
-      throw std::invalid_argument("seeded_kmeans: label >= k");
-    seeds.add(label, data.row(r));
+    if (label != kInvalidCluster) seeds.add(label, data.row(r));
   }
 
   DenseMatrix centroids(static_cast<index_t>(k), d);
@@ -128,93 +121,55 @@ DenseMatrix seeded_init(ConstMatrixView data, const Options& opts,
   return centroids;
 }
 
+/// Seeded assign step: a labeled row returns its label without computing
+/// a distance; an unlabeled row takes the blocked full scan.
+class SeededStep {
+ public:
+  SeededStep(const std::vector<cluster_t>& labels, index_t d,
+             const kernels::Ops& K)
+      : labels_(labels), d_(d), K_(K) {}
+
+  void update(const DenseMatrix&, DenseMatrix& cur) { pack_.pack(cur); }
+
+  cluster_t assign(index_t r, const value_t* v, cluster_t, Counters& cnt) {
+    // Constraint: labeled points keep their label forever.
+    if (labels_[r] != kInvalidCluster) return labels_[r];
+    cnt.dist_computations += static_cast<std::uint64_t>(pack_.k());
+    return K_.nearest_blocked(v, pack_, nullptr);
+  }
+
+  double energy(const value_t* v, const value_t* c) const {
+    return K_.dist_sq(v, c, d_);
+  }
+
+ private:
+  const std::vector<cluster_t>& labels_;
+  const index_t d_;
+  const kernels::Ops& K_;
+  kernels::CentroidPack pack_;
+};
+
 }  // namespace
 
 Result seeded_kmeans(ConstMatrixView data, const Options& opts,
                      const std::vector<cluster_t>& labels) {
   if (data.empty()) throw std::invalid_argument("seeded_kmeans: empty dataset");
-  const kernels::Ops& K = kernels::ops_for(opts.simd);
-  knor::detail::RunMetricsScope run_metrics;
+  detail::RunMetricsScope metrics;
   if (labels.size() != data.rows())
     throw std::invalid_argument("seeded_kmeans: labels size != n");
-  const index_t n = data.rows();
-  const index_t d = data.cols();
-  const int k = opts.k;
-  if (k < 1) throw std::invalid_argument("seeded_kmeans: k < 1");
+  if (opts.k < 1) throw std::invalid_argument("seeded_kmeans: k < 1");
+  // Labels index the accumulators whatever the init, so check them here.
+  for (const cluster_t label : labels)
+    if (label != kInvalidCluster && label >= static_cast<cluster_t>(opts.k))
+      throw std::invalid_argument("seeded_kmeans: label >= k");
 
-  DenseMatrix cur = opts.init == Init::kProvided
-                        ? init_centroids(data, opts)
-                        : seeded_init(data, opts, labels);
-  DenseMatrix next(static_cast<index_t>(k), d);
-  kernels::CentroidPack pack;
-
-  const auto topo = opts.numa_nodes > 0
-                        ? numa::Topology::simulated(opts.numa_nodes)
-                        : numa::Topology::detect();
-  const int T = opts.threads > 0 ? opts.threads : topo.num_cpus();
-  numa::Partitioner parts(n, T, topo);
-  sched::Scheduler sched(T, topo, /*bind=*/opts.numa_aware && opts.numa_bind,
-                         opts.sched);
-  const index_t task_size =
-      sched::Scheduler::resolve_task_size(n, opts.task_size);
-  const auto chunks =
-      static_cast<std::size_t>(sched::Scheduler::num_chunks(n, task_size));
-
-  Result res;
-  res.assignments.assign(static_cast<std::size_t>(n), kInvalidCluster);
-  // Per-chunk accumulators + fixed-tree fold: deterministic under stealing
-  // and across thread counts (DESIGN.md §7).
-  ChunkAccum<LocalCentroids> locals(chunks, k, d);
-  std::vector<std::uint64_t> tchanged(static_cast<std::size_t>(T));
-
-  const auto tol_changes =
-      static_cast<std::uint64_t>(opts.tolerance * static_cast<double>(n));
-
-  for (int it = 0; it < opts.max_iters; ++it) {
-    WallTimer timer;
-    pack.pack(cur);
-    sched.begin_chunks(n, task_size, &parts);
-    sched.run([&](int tid) {
-      tchanged[static_cast<std::size_t>(tid)] = 0;
-      sched::Task task;
-      while (sched.next_chunk(tid, task)) {
-        auto& acc = locals.touch(task.chunk);
-        for (index_t r = task.begin; r < task.end; ++r) {
-          // Constraint: labeled points keep their label forever.
-          const cluster_t best =
-              labels[r] != kInvalidCluster
-                  ? labels[r]
-                  : K.nearest_blocked(data.row(r), pack, nullptr);
-          if (best != res.assignments[r])
-            ++tchanged[static_cast<std::size_t>(tid)];
-          res.assignments[r] = best;
-          acc.add(best, data.row(r));
-        }
-      }
-      sched.barrier().arrive_and_wait();
-      locals.fold(tid, T, sched.barrier());
-    });
-    res.counters.dist_computations +=
-        static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(k);
-
-    res.cluster_sizes = locals.merged().finalize_into(next, cur);
-    locals.next_iteration();
-    std::swap(cur, next);
-
-    std::uint64_t changed = 0;
-    for (auto c : tchanged) changed += c;
-    res.iter_times.record(timer.elapsed());
-    ++res.iters;
-    if (changed <= tol_changes) {
-      res.converged = true;
-      break;
-    }
-  }
-
-  for (index_t r = 0; r < n; ++r)
-    res.energy += K.dist_sq(data.row(r), cur.row(res.assignments[r]), d);
-  res.centroids = std::move(cur);
-  run_metrics.finish(res);
+  DenseMatrix initial = opts.init == Init::kProvided
+                            ? init_centroids(data, opts)
+                            : seeded_init(data, opts, labels);
+  Result res = detail::run_node(
+      SeededStep(labels, data.cols(), kernels::ops_for(opts.simd)), data,
+      opts, std::move(initial));
+  metrics.attach(res);
   return res;
 }
 

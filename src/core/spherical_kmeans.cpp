@@ -2,16 +2,11 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "common/timer.hpp"
-#include "core/chunk_accum.hpp"
+#include "core/engine_impl.hpp"
 #include "core/init.hpp"
 #include "core/kernels/simd.hpp"
 #include "core/run_metrics.hpp"
-#include "core/local_centroids.hpp"
 #include "core/variants.hpp"
-#include "numa/partitioner.hpp"
-#include "numa/topology.hpp"
-#include "sched/scheduler.hpp"
 
 namespace knor {
 namespace {
@@ -19,131 +14,82 @@ namespace {
 // The dot kernel (larger = more similar on the sphere) comes from
 // kernels::ops(); the scalar reference lives in core/distance.hpp.
 
-/// L2-normalize every row of `m` in place; throws on zero rows (no
-/// direction on the sphere).
-void normalize_rows(DenseMatrix& m) {
-  for (index_t r = 0; r < m.rows(); ++r) {
-    value_t* row = m.row(r);
-    value_t norm_sq = 0;
-    for (index_t j = 0; j < m.cols(); ++j) norm_sq += row[j] * row[j];
-    if (norm_sq <= 0)
-      throw std::invalid_argument(
-          "spherical_kmeans: zero row has no direction");
-    const value_t inv = value_t(1) / std::sqrt(norm_sq);
-    for (index_t j = 0; j < m.cols(); ++j) row[j] *= inv;
-  }
+/// Scale `v` to unit L2 norm; false (v untouched) when it is all zeros and
+/// so has no direction on the sphere.
+bool normalize(value_t* v, index_t d) {
+  value_t norm_sq = 0;
+  for (index_t j = 0; j < d; ++j) norm_sq += v[j] * v[j];
+  if (norm_sq <= 0) return false;
+  const value_t inv = value_t(1) / std::sqrt(norm_sq);
+  for (index_t j = 0; j < d; ++j) v[j] *= inv;
+  return true;
 }
 
-/// Re-normalize a centroid after the mean update; an all-zero mean (empty
-/// cluster handled upstream; exact cancellation is measure-zero) keeps the
-/// previous direction.
-void normalize_centroid(value_t* c, const value_t* prev, index_t d) {
-  value_t norm_sq = 0;
-  for (index_t j = 0; j < d; ++j) norm_sq += c[j] * c[j];
-  if (norm_sq <= 0) {
-    std::memcpy(c, prev, d * sizeof(value_t));
-    return;
+/// Cosine assign step: the nearest centroid on the sphere is the one of
+/// largest dot product (ties -> lowest index); the mean update is
+/// renormalised back onto the sphere.
+class CosineStep {
+ public:
+  CosineStep(index_t d, int k, const kernels::Ops& K) : d_(d), k_(k), K_(K) {}
+
+  /// Re-normalise the mean update; an all-zero mean (empty clusters keep
+  /// their centroid upstream; exact cancellation is measure-zero) keeps
+  /// the previous direction.
+  void update(const DenseMatrix& prev, DenseMatrix& cur) {
+    cur_ = &cur;
+    if (prev.empty()) return;  // the entry point normalised the start
+    for (index_t c = 0; c < cur.rows(); ++c)
+      if (!normalize(cur.row(c), d_))
+        std::memcpy(cur.row(c), prev.row(c), d_ * sizeof(value_t));
   }
-  const value_t inv = value_t(1) / std::sqrt(norm_sq);
-  for (index_t j = 0; j < d; ++j) c[j] *= inv;
-}
+
+  cluster_t assign(index_t, const value_t* v, cluster_t, Counters& cnt) {
+    cluster_t best = 0;
+    value_t best_sim = K_.dot(v, cur_->row(0), d_);
+    for (int c = 1; c < k_; ++c) {
+      const value_t sim = K_.dot(v, cur_->row(static_cast<index_t>(c)), d_);
+      if (sim > best_sim) {
+        best_sim = sim;
+        best = static_cast<cluster_t>(c);
+      }
+    }
+    cnt.dist_computations += static_cast<std::uint64_t>(k_);
+    return best;
+  }
+
+  double energy(const value_t* v, const value_t* c) const {
+    return 1.0 - K_.dot(v, c, d_);
+  }
+
+ private:
+  const index_t d_;
+  const int k_;
+  const kernels::Ops& K_;
+  const DenseMatrix* cur_ = nullptr;
+};
 
 }  // namespace
 
 Result spherical_kmeans(ConstMatrixView data, const Options& opts) {
   if (data.empty())
     throw std::invalid_argument("spherical_kmeans: empty dataset");
-  const kernels::Ops& K = kernels::ops_for(opts.simd);
-  knor::detail::RunMetricsScope run_metrics;
-  const index_t n = data.rows();
+  detail::RunMetricsScope metrics;
   const index_t d = data.cols();
-  const int k = opts.k;
 
   // Work on a normalized copy (rows on the unit sphere).
-  DenseMatrix unit(n, d);
+  DenseMatrix unit(data.rows(), d);
   std::memcpy(unit.data(), data.data(), unit.size() * sizeof(value_t));
-  normalize_rows(unit);
+  for (index_t r = 0; r < unit.rows(); ++r)
+    if (!normalize(unit.row(r), d))
+      throw std::invalid_argument(
+          "spherical_kmeans: zero row has no direction");
 
-  DenseMatrix cur = init_centroids(unit.const_view(), opts);
-  for (index_t c = 0; c < cur.rows(); ++c)
-    normalize_centroid(cur.row(c), cur.row(c), d);
-  DenseMatrix next(static_cast<index_t>(k), d);
-
-  const auto topo = opts.numa_nodes > 0
-                        ? numa::Topology::simulated(opts.numa_nodes)
-                        : numa::Topology::detect();
-  const int T = opts.threads > 0 ? opts.threads : topo.num_cpus();
-  numa::Partitioner parts(n, T, topo);
-  sched::Scheduler sched(T, topo, /*bind=*/opts.numa_aware && opts.numa_bind,
-                         opts.sched);
-  const index_t task_size =
-      sched::Scheduler::resolve_task_size(n, opts.task_size);
-  const auto chunks =
-      static_cast<std::size_t>(sched::Scheduler::num_chunks(n, task_size));
-
-  Result res;
-  res.assignments.assign(static_cast<std::size_t>(n), kInvalidCluster);
-  // Per-chunk accumulators folded in a fixed tree: bitwise-deterministic
-  // centroids under work stealing and across thread counts, exactly like
-  // the main engine (DESIGN.md §7).
-  ChunkAccum<LocalCentroids> locals(chunks, k, d);
-  std::vector<std::uint64_t> tchanged(static_cast<std::size_t>(T));
-
-  const auto tol_changes =
-      static_cast<std::uint64_t>(opts.tolerance * static_cast<double>(n));
-
-  for (int it = 0; it < opts.max_iters; ++it) {
-    WallTimer timer;
-    sched.begin_chunks(n, task_size, &parts);
-    sched.run([&](int tid) {
-      tchanged[static_cast<std::size_t>(tid)] = 0;
-      sched::Task task;
-      while (sched.next_chunk(tid, task)) {
-        auto& acc = locals.touch(task.chunk);
-        for (index_t r = task.begin; r < task.end; ++r) {
-          const value_t* v = unit.row(r);
-          cluster_t best = 0;
-          value_t best_sim = K.dot(v, cur.row(0), d);
-          for (int c = 1; c < k; ++c) {
-            const value_t sim = K.dot(v, cur.row(static_cast<index_t>(c)), d);
-            if (sim > best_sim) {
-              best_sim = sim;
-              best = static_cast<cluster_t>(c);
-            }
-          }
-          if (best != res.assignments[r])
-            ++tchanged[static_cast<std::size_t>(tid)];
-          res.assignments[r] = best;
-          acc.add(best, v);
-        }
-      }
-      sched.barrier().arrive_and_wait();
-      locals.fold(tid, T, sched.barrier());
-    });
-    res.counters.dist_computations +=
-        static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(k);
-
-    res.cluster_sizes = locals.merged().finalize_into(next, cur);
-    locals.next_iteration();
-    for (int c = 0; c < k; ++c)
-      normalize_centroid(next.row(static_cast<index_t>(c)),
-                         cur.row(static_cast<index_t>(c)), d);
-    std::swap(cur, next);
-
-    std::uint64_t changed = 0;
-    for (auto c : tchanged) changed += c;
-    res.iter_times.record(timer.elapsed());
-    ++res.iters;
-    if (changed <= tol_changes) {
-      res.converged = true;
-      break;
-    }
-  }
-
-  for (index_t r = 0; r < n; ++r)
-    res.energy += 1.0 - K.dot(unit.row(r), cur.row(res.assignments[r]), d);
-  res.centroids = std::move(cur);
-  run_metrics.finish(res);
+  DenseMatrix initial = init_centroids(unit.const_view(), opts);
+  for (index_t c = 0; c < initial.rows(); ++c) normalize(initial.row(c), d);
+  Result res =
+      detail::run_node(CosineStep(d, opts.k, kernels::ops_for(opts.simd)),
+                       unit.const_view(), opts, std::move(initial));
+  metrics.attach(res);
   return res;
 }
 

@@ -12,8 +12,10 @@ namespace knor {
 /// Input rows are L2-normalized internally (zero rows are rejected);
 /// centroids are re-normalized means. Result::energy is the total cosine
 /// *dissimilarity*  sum(1 - cos(v, c_assign)).
-/// Runs on the parallel pool with per-thread accumulators (||Lloyd's
-/// structure), supports kForgy / kKmeansPP / kRandom / kProvided init.
+/// Runs on the shared ||Lloyd's driver (per-chunk accumulators, fixed-tree
+/// fold: bitwise invariant across thread counts and schedules) with a
+/// cosine assign step; supports kForgy / kKmeansPP / kRandom / kProvided
+/// init.
 Result spherical_kmeans(ConstMatrixView data, const Options& opts);
 
 /// Semi-supervised (seeded) k-means — the Yoder & Priebe "ss-kmeans++"
@@ -21,8 +23,9 @@ Result spherical_kmeans(ConstMatrixView data, const Options& opts);
 /// [0, k). Labeled points never change cluster but always contribute to
 /// their centroid; unlabeled points (kInvalidCluster in `labels`) follow
 /// Lloyd's. Initial centroids: the labeled mean for clusters with seeds,
-/// k-means++ over the unlabeled remainder for the rest.
-/// `labels.size()` must equal data.rows().
+/// k-means++ over the unlabeled remainder for the rest. Runs on the shared
+/// driver; only unlabeled rows compute distances (k per row per
+/// iteration). `labels.size()` must equal data.rows().
 Result seeded_kmeans(ConstMatrixView data, const Options& opts,
                      const std::vector<cluster_t>& labels);
 

@@ -256,18 +256,15 @@ class CheckpointWriter final : public detail::IterObserver {
 Result kmeans(const std::string& path, const Options& opts,
               const SemOptions& sem_opts, SemStats* stats) {
   // Per-run registry slice (DESIGN.md §10), diffed around the whole run.
-  obs::Registry& reg = obs::Registry::global();
-  const obs::Snapshot obs_before = reg.snapshot();
+  detail::RunMetricsScope metrics;
   PageFile file(path, sem_opts.page_size, sem_opts.ssd);
   const index_t n = file.n();
   const index_t d = file.d();
   const int k = opts.k;
   if (k < 1) throw std::invalid_argument("sem::kmeans: k < 1");
 
-  const auto topo = opts.numa_nodes > 0
-                        ? numa::Topology::simulated(opts.numa_nodes)
-                        : numa::Topology::detect();
-  const int T = opts.threads > 0 ? opts.threads : topo.num_cpus();
+  const detail::Workers workers(opts);
+  const int T = workers.threads;
 
   PageCache page_cache(sem_opts.page_cache_bytes, sem_opts.page_size, T);
   IoEngine engine(file, page_cache, sem_opts.io_threads,
@@ -298,8 +295,8 @@ Result kmeans(const std::string& path, const Options& opts,
     initial = sem_init_centroids(file, engine, opts);
   }
 
-  numa::Partitioner parts(n, T, topo);
-  sched::Scheduler sched(T, topo, /*bind=*/opts.numa_bind, opts.sched);
+  numa::Partitioner parts(n, T, workers.topo);
+  sched::Scheduler sched(T, workers.topo, /*bind=*/opts.numa_bind, opts.sched);
   const index_t task_size =
       sched::Scheduler::resolve_task_size(n, opts.task_size);
   const auto chunks =
@@ -339,6 +336,7 @@ Result kmeans(const std::string& path, const Options& opts,
   // hits/misses, device bytes and request counts are timing-class. The
   // driver already published the core.* and sched.* counters.
   using obs::Det;
+  obs::Registry& reg = obs::Registry::global();
   reg.counter("sem.bytes_requested", Det::kDeterministic)
       .add(engine.bytes_requested());
   reg.counter("sem.row_cache_hits", Det::kDeterministic)
@@ -349,7 +347,7 @@ Result kmeans(const std::string& path, const Options& opts,
   reg.counter("sem.page_cache_hits", Det::kTiming).add(page_cache.hits());
   reg.counter("sem.page_cache_misses", Det::kTiming)
       .add(page_cache.misses());
-  res.metrics = obs::diff(obs_before, reg.snapshot());
+  metrics.attach(res);
   return res;
 }
 

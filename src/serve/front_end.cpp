@@ -54,13 +54,12 @@ struct QueryFrontEnd::Impl {
       : opts(o),
         fopts(f),
         centroids(c),
-        topo(o.numa_nodes > 0 ? numa::Topology::simulated(o.numa_nodes)
-                              : numa::Topology::detect()),
-        threads(o.threads > 0 ? o.threads : topo.num_cpus()),
-        sched(threads, topo, /*bind=*/o.numa_aware && o.numa_bind, o.sched),
+        workers(o),
+        sched(workers.threads, workers.topo,
+              /*bind=*/o.numa_aware && o.numa_bind, o.sched),
         ops(&kernels::ops_for(o.simd)),
         queue(f.queue_depth),
-        scratch(static_cast<std::size_t>(threads)),
+        scratch(static_cast<std::size_t>(workers.threads)),
         // Client-driven totals are deterministic (a pure function of what
         // the clients submit); everything batching- or occupancy-shaped
         // races on arrival timing and is declared kTiming (see the header
@@ -104,8 +103,7 @@ struct QueryFrontEnd::Impl {
   Options opts;
   FrontEndOptions fopts;
   DenseMatrix centroids;
-  numa::Topology topo;
-  int threads;
+  detail::Workers workers;
   sched::Scheduler sched;
   kernels::CentroidPack pack;
   /// Resolved once at construction (the per-selected-ISA determinism

@@ -23,12 +23,11 @@ struct AssignServer::Impl {
   Impl(const DenseMatrix& c, const Options& o)
       : opts(o),
         centroids(c),
-        topo(o.numa_nodes > 0 ? numa::Topology::simulated(o.numa_nodes)
-                              : numa::Topology::detect()),
-        threads(o.threads > 0 ? o.threads : topo.num_cpus()),
-        sched(threads, topo, /*bind=*/o.numa_aware && o.numa_bind, o.sched),
+        workers(o),
+        sched(workers.threads, workers.topo,
+              /*bind=*/o.numa_aware && o.numa_bind, o.sched),
         histogram(static_cast<std::size_t>(c.rows()), 0),
-        tcounts(static_cast<std::size_t>(threads),
+        tcounts(static_cast<std::size_t>(workers.threads),
                 std::vector<std::int64_t>(static_cast<std::size_t>(c.rows()),
                                           0)),
         ops(&kernels::ops_for(o.simd)) {
@@ -41,8 +40,7 @@ struct AssignServer::Impl {
 
   Options opts;
   DenseMatrix centroids;
-  numa::Topology topo;
-  int threads;
+  detail::Workers workers;
   sched::Scheduler sched;
   kernels::CentroidPack pack;
   std::vector<std::int64_t> histogram;

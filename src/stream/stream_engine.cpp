@@ -21,15 +21,12 @@ namespace knor::stream {
 /// only when a batch's chunk count changes (steady-state streams reuse it).
 struct StreamEngine::Impl {
   Impl(const Options& opts)
-      : topo(opts.numa_nodes > 0 ? numa::Topology::simulated(opts.numa_nodes)
-                                 : numa::Topology::detect()),
-        threads(opts.threads > 0 ? opts.threads : topo.num_cpus()),
-        sched(threads, topo, /*bind=*/opts.numa_aware && opts.numa_bind,
-              opts.sched),
+      : workers(opts),
+        sched(workers.threads, workers.topo,
+              /*bind=*/opts.numa_aware && opts.numa_bind, opts.sched),
         ops(&kernels::ops_for(opts.simd)) {}
 
-  numa::Topology topo;
-  int threads;
+  detail::Workers workers;
   sched::Scheduler sched;
   /// Resolved once at construction: the engine stays on one ISA for its
   /// whole life even if another engine retargets the process-global
@@ -120,7 +117,7 @@ void StreamEngine::apply_batch(ConstMatrixView batch) {
   }
   const index_t m = batch.rows();
   const int k = opts_.k;
-  const int T = impl_->threads;
+  const int T = impl_->workers.threads;
   const kernels::Ops& K = *impl_->ops;
 
   impl_->pack.pack(centroids_);

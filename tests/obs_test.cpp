@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "knor/knor.hpp"
@@ -291,6 +292,10 @@ TEST(ObsCounterParity, MetricsAgreeWithResultCountersForEveryEngine) {
   opts.threads = 2;
   opts.max_iters = 10;
   opts.seed = 23;
+  // Every third row labeled: seeded_kmeans computes no distance for it.
+  std::vector<cluster_t> labels(m.rows(), kInvalidCluster);
+  for (index_t r = 0; r < m.rows(); r += 3)
+    labels[r] = static_cast<cluster_t>(r % 4);
 
   struct Case {
     const char* name;
@@ -304,6 +309,8 @@ TEST(ObsCounterParity, MetricsAgreeWithResultCountersForEveryEngine) {
       {"elkan", [&] { return elkan_ti(m.const_view(), opts); }},
       {"minibatch",
        [&] { return minibatch(m.const_view(), opts, MinibatchOptions{}); }},
+      {"spherical", [&] { return spherical_kmeans(m.const_view(), opts); }},
+      {"seeded", [&] { return seeded_kmeans(m.const_view(), opts, labels); }},
   };
   for (const auto& c : cases) {
     const Result res = c.run();
@@ -322,6 +329,53 @@ TEST(ObsCounterParity, MetricsAgreeWithResultCountersForEveryEngine) {
               static_cast<std::int64_t>(res.counters.tasks_own))
         << c.name;
     EXPECT_GT(res.counters.dist_computations, 0u) << c.name;
+  }
+}
+
+TEST(ObsRunSlice, DriverEnginesEmitTheirPhases) {
+  // Every engine on the shared driver carries the driver's phase spans in
+  // its registry slice, and the slice is taken around the whole fit: knori
+  // opens its init span inside it.
+  data::GeneratorSpec spec;
+  spec.n = 1500;
+  spec.d = 6;
+  spec.true_clusters = 4;
+  const DenseMatrix m = data::generate(spec);
+
+  Options opts;
+  opts.k = 4;
+  opts.threads = 2;
+  opts.max_iters = 10;
+  opts.seed = 23;
+  std::vector<cluster_t> labels(m.rows(), kInvalidCluster);
+  for (index_t r = 0; r < m.rows(); r += 3)
+    labels[r] = static_cast<cluster_t>(r % 4);
+
+  const Result knori = kmeans(m.const_view(), opts);
+  ASSERT_NE(knori.metrics.find("phase.init"), nullptr);
+  EXPECT_EQ(knori.metrics.find("phase.init")->hist.count, 1u);
+
+  struct Case {
+    const char* name;
+    Result res;
+  };
+  const Case cases[] = {
+      {"knori", knori},
+      {"elkan", elkan_ti(m.const_view(), opts)},
+      {"spherical", spherical_kmeans(m.const_view(), opts)},
+      {"seeded", seeded_kmeans(m.const_view(), opts, labels)},
+  };
+  for (const Case& c : cases) {
+    // One assign and one update span per iteration, one energy pass.
+    const std::pair<const char*, std::uint64_t> phases[] = {
+        {"phase.assign", c.res.iters},
+        {"phase.update", c.res.iters},
+        {"phase.energy", 1}};
+    for (const auto& [phase, count] : phases) {
+      const obs::Metric* metric = c.res.metrics.find(phase);
+      ASSERT_NE(metric, nullptr) << c.name << " " << phase;
+      EXPECT_EQ(metric->hist.count, count) << c.name << " " << phase;
+    }
   }
 }
 

@@ -1,5 +1,6 @@
 // Tests for the future-work variants (paper §9): spherical k-means and
-// semi-supervised (seeded) k-means, plus the knors checkpoint/resume path.
+// semi-supervised (seeded) k-means, the schedule invariance they and Elkan
+// share on the shared driver, plus the knors checkpoint/resume path.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -9,6 +10,7 @@
 #include <filesystem>
 #include <string>
 
+#include "core/engines.hpp"
 #include "core/knori.hpp"
 #include "core/variants.hpp"
 #include "data/generator.hpp"
@@ -76,19 +78,45 @@ TEST(Spherical, ScaleInvariant) {
     ASSERT_EQ(a.assignments[i], b.assignments[i]) << i;
 }
 
+/// Fits with `fit` at T in {1, 4} under every scheduler policy and
+/// requires iterations, assignments, centroids and energy bitwise equal to
+/// the T = 1 work-stealing run: the shared driver's per-chunk sums and
+/// chunk-ordered energy leave nothing to the schedule.
+template <typename Fit>
+void expect_schedule_invariant(Options opts, Fit&& fit) {
+  opts.threads = 1;
+  opts.sched = sched::SchedPolicy::kNumaAware;
+  const Result ref = fit(opts);
+  for (const auto policy :
+       {sched::SchedPolicy::kNumaAware, sched::SchedPolicy::kFifo,
+        sched::SchedPolicy::kStatic})
+    for (const int threads : {1, 4}) {
+      opts.sched = policy;
+      opts.threads = threads;
+      const Result res = fit(opts);
+      const std::string what =
+          std::string(sched::to_string(policy)) + " T=" +
+          std::to_string(threads);
+      EXPECT_EQ(res.iters, ref.iters) << what;
+      EXPECT_EQ(res.assignments, ref.assignments) << what;
+      ASSERT_EQ(res.centroids.size(), ref.centroids.size()) << what;
+      EXPECT_EQ(std::memcmp(res.centroids.data(), ref.centroids.data(),
+                            ref.centroids.size() * sizeof(value_t)),
+                0)
+          << what;
+      EXPECT_EQ(std::memcmp(&res.energy, &ref.energy, sizeof(double)), 0)
+          << what;
+    }
+}
+
 TEST(Spherical, ThreadCountInvariant) {
   const DenseMatrix m = sphere_data(3000, 8, 5);
-  Options base;
-  base.k = 5;
-  base.threads = 1;
-  base.max_iters = 30;
-  const Result one = spherical_kmeans(m.const_view(), base);
-  base.threads = 4;
-  const Result four = spherical_kmeans(m.const_view(), base);
-  EXPECT_EQ(one.iters, four.iters);
-  EXPECT_LT(std::abs(one.energy - four.energy) /
-                std::max(1e-30, one.energy),
-            1e-9);
+  Options opts;
+  opts.k = 5;
+  opts.max_iters = 30;
+  expect_schedule_invariant(opts, [&](const Options& o) {
+    return spherical_kmeans(m.const_view(), o);
+  });
 }
 
 TEST(Spherical, ZeroRowRejected) {
@@ -163,6 +191,46 @@ TEST(Seeded, SeedsGuideClusterIdentity) {
   EXPECT_GT(static_cast<double>(agree) / 6000.0, 0.95);
 }
 
+TEST(Seeded, ThreadCountInvariant) {
+  const DenseMatrix m = sphere_data(4000, 6, 4);
+  std::vector<cluster_t> labels(4000, kInvalidCluster);
+  for (index_t r = 0; r < 4000; r += 10)
+    labels[r] = static_cast<cluster_t>(r / 10 % 4);
+  Options opts;
+  opts.k = 4;
+  opts.max_iters = 40;
+  expect_schedule_invariant(opts, [&](const Options& o) {
+    return seeded_kmeans(m.const_view(), o, labels);
+  });
+}
+
+TEST(Seeded, LabeledRowsComputeNoDistances) {
+  // A labeled row keeps its label without a distance: each iteration
+  // scans only the unlabeled rows, k distances apiece.
+  const DenseMatrix m = sphere_data(3000, 6, 4);
+  std::vector<cluster_t> labels(3000, kInvalidCluster);
+  for (index_t r = 0; r < 3000; r += 2)
+    labels[r] = static_cast<cluster_t>(r / 2 % 4);
+  Options opts;
+  opts.k = 4;
+  opts.threads = 2;
+  opts.max_iters = 20;
+  const Result res = seeded_kmeans(m.const_view(), opts, labels);
+  ASSERT_GT(res.iters, 0u);
+  EXPECT_EQ(res.counters.dist_computations,
+            static_cast<std::uint64_t>(res.iters) * 1500 * 4);
+}
+
+TEST(Elkan, ThreadCountInvariant) {
+  const DenseMatrix m = sphere_data(3000, 8, 5);
+  Options opts;
+  opts.k = 5;
+  opts.max_iters = 30;
+  expect_schedule_invariant(opts, [&](const Options& o) {
+    return elkan_ti(m.const_view(), o);
+  });
+}
+
 TEST(Seeded, InvalidInputsThrow) {
   const DenseMatrix m = sphere_data(100, 4, 2);
   Options opts;
@@ -173,6 +241,12 @@ TEST(Seeded, InvalidInputsThrow) {
   std::vector<cluster_t> bad_label(100, kInvalidCluster);
   bad_label[0] = 7;  // >= k
   EXPECT_THROW(seeded_kmeans(m.const_view(), opts, bad_label),
+               std::invalid_argument);
+  // Caller-provided centroids skip the seeded init; the label check holds.
+  Options provided = opts;
+  provided.init = Init::kProvided;
+  provided.initial_centroids = DenseMatrix(2, 4);
+  EXPECT_THROW(seeded_kmeans(m.const_view(), provided, bad_label),
                std::invalid_argument);
 }
 
