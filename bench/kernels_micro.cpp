@@ -71,10 +71,10 @@ void run(Context& ctx) {
         .timing("ns_per_op", ns);
   }
 
-  // Per-ISA suites for the SIMD kernel layer: the dispatched dist_sq and
-  // the blocked nearest-centroid kernel, each against the scalar
-  // reference rows above. The speedup of nearest_blocked isa=avx2 (or
-  // best) over isa=scalar at k=64 is the PR-4 acceptance number.
+  // Per-ISA suites for the SIMD kernel layer: the dispatched dist_sq, the
+  // blocked nearest-centroid kernel and the all-distances kernel, each
+  // against the scalar rows. The speedup of nearest_blocked isa=avx2 (or
+  // best) over isa=scalar at k=64 is the headline vector-kernel number.
   for (const kernels::Isa isa : kernels::available_isas()) {
     const kernels::Ops& ops = kernels::ops_for(isa);
     const std::string tag = std::string(" isa=") + kernels::to_string(isa);
@@ -87,28 +87,48 @@ void run(Context& ctx) {
           .label("arg", "d=" + std::to_string(d) + tag)
           .timing("ns_per_op", ns);
     }
+    // Mid-range d (the tile's target regime), one row after another from
+    // a pool, so the winner moves from call to call as it does in a fit
+    // (one fixed point would make every branch perfectly predicted).
+    const index_t kPool = 1024;
+    const DenseMatrix pool32 = make_data(kPool, 32);
     for (const int k : {8, 64, 256}) {
-      const index_t d = 32;  // mid-range d: the tile's target regime
-      const DenseMatrix point = make_data(1, d);
-      const DenseMatrix centroids = make_data(static_cast<index_t>(k), d);
+      const DenseMatrix centroids = make_data(static_cast<index_t>(k), 32);
       kernels::CentroidPack pack;
       pack.pack(centroids);
       value_t sq_out = 0;
+      index_t r = 0;
       // Enough ops that the scalar-vs-vector ratio is stable even at
-      // smoke scale (this ratio is a PR acceptance number).
+      // smoke scale.
       const std::size_t iters = std::max<std::size_t>(
           2000, base / (k > 64 ? 4 : 2));
       const TimingAgg ns = per_op_ns(ctx, iters, [&] {
-        g_sink = ops.nearest_blocked(point.row(0), pack, &sq_out);
+        g_sink = ops.nearest_blocked(pool32.row(r), pack, &sq_out);
+        r = r + 1 == kPool ? 0 : r + 1;
       });
       ctx.row().label("kernel", "nearest_blocked")
           .label("arg", "k=" + std::to_string(k) + tag)
           .timing("ns_per_op", ns);
     }
-    // The knord-uniform shape (k=256, d=16), one row after another from a
-    // pool: the winner moves from row to row as it does in a fit.
+    // Top-m's kernel at the serve-mixed shape: all k distances of a row.
     {
-      const index_t d = 16, pool = 1024;
+      const DenseMatrix centroids = make_data(256, 32);
+      kernels::CentroidPack pack;
+      pack.pack(centroids);
+      std::vector<value_t> out(256);
+      index_t r = 0;
+      const TimingAgg ns = per_op_ns(ctx, base / 8, [&] {
+        ops.distances(pool32.row(r), pack, out.data());
+        g_sink = out[r % 256];
+        r = r + 1 == kPool ? 0 : r + 1;
+      });
+      ctx.row().label("kernel", "distances")
+          .label("arg", "k=256 d=32" + tag)
+          .timing("ns_per_op", ns);
+    }
+    // The knord-uniform shape (k=256, d=16), cycling a pool the same way.
+    {
+      const index_t d = 16, pool = kPool;
       const DenseMatrix rows = make_data(pool, d);
       const DenseMatrix centroids = make_data(256, d);
       kernels::CentroidPack pack;

@@ -3,10 +3,13 @@
 // comparison is batched (window=4096) against the one-request-per-call
 // baseline at the same client count: the queued path with the batching
 // window at 1, where the dispatcher makes exactly one compute call per
-// request. Admission + coalescing must buy at least 2x throughput,
-// because the per-call overhead (scheduler fork/join handshake, compute
-// lock handoff, obs span) repeats per request at window=1 and a
-// mega-batch amortizes it across every coalesced request. The direct
+// request. Admission + coalescing was to buy at least 2x throughput,
+// because the per-call overhead (compute lock handoff, obs span, and the
+// scheduler fork/join handshake while every call went to the workers)
+// repeats per request at window=1 and a mega-batch amortizes it across
+// every coalesced request. A one-chunk call now runs on the dispatcher
+// with no handshake, so window=1 pays far less than it did and the ratio
+// is near 1.3x on a 4-vCPU host (DESIGN.md §11). The direct
 // synchronous path (clients call assign_now themselves, no queue) rides
 // along as a reference for what admission itself costs.
 //

@@ -506,7 +506,7 @@ Result run_parallel_lloyd(Data&& data, index_t n, index_t d,
   // end through the shared mapping (core/run_metrics.hpp), so the hot loops
   // above keep their plain per-thread structs and --metrics agrees with
   // Result::counters by construction.
-  publish_run_counters(res);
+  publish_run_counters(res, static_cast<std::size_t>(start_iter));
 
   res.centroids = std::move(cur);
   return res;

@@ -23,8 +23,11 @@
 // shapes, thread counts and scheduling policies (the §7/§8 contract,
 // extended by §12; pinned in conformance_test and exactness_test).
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "common/strict_parse.hpp"
 #include "common/timer.hpp"
 #include "core/chunk_accum.hpp"
 #include "core/engines.hpp"
@@ -35,6 +38,51 @@
 #include "sched/scheduler.hpp"
 
 namespace knor {
+
+bool parse_gemm_tile(const std::string& name, GemmTile* out) {
+  if (name == "auto") {
+    *out = GemmTile{};
+    return true;
+  }
+  const auto x = name.find('x');
+  if (x == std::string::npos || x == 0 || x + 1 >= name.size()) return false;
+  const auto parse_pos = [](const std::string& s, index_t* v) {
+    std::uint64_t u = 0;
+    if (!knor::parse_u64(s, &u) || u == 0) return false;
+    *v = static_cast<index_t>(u);
+    return true;
+  };
+  GemmTile tile;
+  if (!parse_pos(name.substr(0, x), &tile.rows) ||
+      !parse_pos(name.substr(x + 1), &tile.cols))
+    return false;
+  *out = tile;
+  return true;
+}
+
+GemmTile parse_gemm_tile_or_throw(const std::string& name, const char* what) {
+  GemmTile tile;
+  if (!parse_gemm_tile(name, &tile))
+    throw std::invalid_argument(std::string(what) + "=" + name +
+                                " is not a GEMM tile (want auto or RxC with "
+                                "positive integers, e.g. 64x256)");
+  return tile;
+}
+
+GemmTile resolve_gemm_tile(GemmTile tile, index_t n, int k) {
+  // Auto shape: 64 rows of A shared across each panel sweep, 256 centroids
+  // per sweep — at the evaluation's d (8..64 doubles) that keeps the swept
+  // centroid panels L2-resident while each row block amortizes their loads.
+  if (tile.rows == 0) tile.rows = 64;
+  if (tile.cols == 0) tile.cols = 256;
+  if (tile.rows > n) tile.rows = n;
+  const auto uk = static_cast<index_t>(k);
+  if (tile.cols > uk) tile.cols = uk;
+  // Whole panels only: round the centroid sweep up to the panel width.
+  const index_t w = kernels::kGemmPanelWidth;
+  tile.cols = (tile.cols + w - 1) / w * w;
+  return tile;
+}
 
 Result gemm_kmeans(ConstMatrixView data, const Options& opts) {
   // Hoisted once per run: no engine mutates the process-global dispatch

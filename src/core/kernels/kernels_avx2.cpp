@@ -116,6 +116,7 @@ struct Avx2Traits {
 
   static vec broadcast(value_t x) { return _mm256_set1_pd(x); }
   static void storeu(value_t* p, vec v) { _mm256_storeu_pd(p, v); }
+  static void store_tile(value_t* p, dvec v) { _mm256_storeu_pd(p, v); }
 };
 
 }  // namespace

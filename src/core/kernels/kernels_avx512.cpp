@@ -137,6 +137,7 @@ struct Avx512Traits {
 
   static vec broadcast(value_t x) { return _mm512_set1_pd(x); }
   static void storeu(value_t* p, vec v) { _mm512_storeu_pd(p, v); }
+  static void store_tile(value_t* p, dvec v) { _mm512_storeu_pd(p, v); }
 };
 
 }  // namespace

@@ -43,6 +43,14 @@ cluster_t scalar_nearest_blocked(const value_t* point,
   return best;
 }
 
+// k successive dist_sq calls, like the blocked scan above.
+void scalar_distances(const value_t* point, const CentroidPack& pack,
+                      value_t* out) {
+  const int k = pack.k();
+  const index_t d = pack.d();
+  for (int c = 0; c < k; ++c) out[c] = knor::dist_sq(point, pack.row(c), d);
+}
+
 /// The subset winner rule: the smaller squared distance wins; the
 /// incumbent `keep` wins every tie; among listed candidates the lower id
 /// wins a tie, whatever the list order. (The vector tables reach the same
@@ -125,6 +133,7 @@ Ops scalar_ops() {
   ops.nearest = &scalar_nearest;
   ops.nearest_blocked = &scalar_nearest_blocked;
   ops.nearest_subset = &scalar_nearest_subset;
+  ops.distances = &scalar_distances;
   ops.gemm_argmin = &scalar_gemm_argmin;
   return ops;
 }

@@ -120,6 +120,10 @@ struct Sse2Traits {
   }
   static vec broadcast(value_t x) { return _mm_set1_pd(x); }
   static void storeu(value_t* p, vec v) { _mm_storeu_pd(p, v); }
+  static void store_tile(value_t* p, dvec v) {
+    _mm_storeu_pd(p, v.lo);
+    _mm_storeu_pd(p + 2, v.hi);
+  }
 };
 
 }  // namespace

@@ -160,6 +160,11 @@ struct Ops {
   cluster_t (*nearest_subset)(const value_t* point, const CentroidPack& pack,
                               const cluster_t* ids, int count, cluster_t keep,
                               value_t* io_sq) = nullptr;
+  /// All k squared distances from `point` to the pack's rows, written to
+  /// out[0..k) — the blocked scan's tiles without the argmin, every value
+  /// bitwise equal to dist_sq on that centroid row. Top-m ranking's kernel.
+  void (*distances)(const value_t* point, const CentroidPack& pack,
+                    value_t* out) = nullptr;
   /// Fused blocked-GEMM argmin epilogue (DESIGN.md §12): streams `mrows`
   /// row-major data rows (leading dimension lda) against centroid panels
   /// [p0, p1) of `b` — a TiledMatrix packed from the k x d centroid matrix

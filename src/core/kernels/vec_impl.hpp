@@ -39,6 +39,10 @@
 //    candidate prefix — so its distances are bitwise equal to dist_sq_t
 //    as well; the incumbent then wins a tie against the listed winner.
 //
+//  * distances_t runs the blocked scan's tiles and stores each tile's
+//    distance vector instead of folding it into an argmin: all k values,
+//    each bitwise equal to dist_sq_t (top-m ranking needs them all).
+//
 //  * The k % kTile (count % kTile) remainder runs as one more tile —
 //    a half tile (reduce_half: the same reduction for kTile/2 sums) when
 //    at most half a tile remains — whose dead lanes repeat a live row and
@@ -89,6 +93,7 @@
 //   static cluster_t lexmin(dvec best, dvec best_id, value_t* best_sq);
 //     // min lane distance, then the lowest id among the lanes holding it
 //   static bool any_below(dvec best, value_t x);  // some lane < x
+//   static void store_tile(value_t*, dvec);   // kTile lanes, unaligned
 //
 //  * gemm_argmin_t (DESIGN.md §12) needs no horizontal reduction at all:
 //    each lane of a panel column line IS one centroid, so a lane's
@@ -255,6 +260,27 @@ cluster_t nearest_blocked_t(const value_t* point, const CentroidPack& pack,
 }
 
 template <class V>
+void distances_t(const value_t* point, const CentroidPack& pack,
+                 value_t* out) {
+  constexpr int kTile = V::kTile;
+  const int k = pack.k();
+  const index_t d = pack.d();
+  int c = 0;
+  for (; c + kTile <= k; c += kTile) {
+    const value_t* rows[kTile];
+    for (int t = 0; t < kTile; ++t) rows[t] = pack.row(c + t);
+    V::store_tile(out + c, tile_dist_sq_t<V, kTile>(point, rows, d));
+  }
+  if (const int live = k - c; live > 0) {
+    const value_t* rows[kTile];
+    for (int t = 0; t < kTile; ++t) rows[t] = pack.row(t < live ? c + t : c);
+    value_t tail[kTile];
+    V::store_tile(tail, tail_dist_sq_t<V>(point, rows, d, live));
+    for (int t = 0; t < live; ++t) out[c + t] = tail[t];
+  }
+}
+
+template <class V>
 cluster_t nearest_subset_t(const value_t* point, const CentroidPack& pack,
                            const cluster_t* ids, int count, cluster_t keep,
                            value_t* io_sq) {
@@ -369,6 +395,7 @@ Ops make_ops(Isa isa) {
   ops.nearest = &nearest_t<V>;
   ops.nearest_blocked = &nearest_blocked_t<V>;
   ops.nearest_subset = &nearest_subset_t<V>;
+  ops.distances = &distances_t<V>;
   ops.gemm_argmin = &gemm_argmin_t<V>;
   return ops;
 }

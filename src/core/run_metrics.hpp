@@ -14,8 +14,11 @@ namespace knor::detail {
 /// the same names and determinism classes for every engine. The
 /// algorithmic counters are deterministic — pure functions of (data, opts)
 /// like the clustering itself; the attribution counters (NUMA locality,
-/// steal schedule) are timing-class (DESIGN.md §6/§10).
-inline void publish_run_counters(const Result& res) {
+/// steal schedule) are timing-class (DESIGN.md §6/§10). A run resumed at
+/// iteration `resumed_at` counts on from it in res.iters, but ran (and
+/// publishes) only its own res.iters - resumed_at iterations.
+inline void publish_run_counters(const Result& res,
+                                 std::size_t resumed_at = 0) {
   using obs::Det;
   obs::Registry& reg = obs::Registry::global();
   reg.counter("core.dist_computations", Det::kDeterministic)
@@ -27,7 +30,7 @@ inline void publish_run_counters(const Result& res) {
   reg.counter("core.clause3_skips", Det::kDeterministic)
       .add(res.counters.clause3_skips);
   reg.counter("core.iterations", Det::kDeterministic)
-      .add(static_cast<std::uint64_t>(res.iters));
+      .add(static_cast<std::uint64_t>(res.iters - resumed_at));
   reg.counter("core.local_accesses", Det::kTiming)
       .add(res.counters.local_accesses);
   reg.counter("core.remote_accesses", Det::kTiming)

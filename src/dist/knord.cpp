@@ -567,7 +567,8 @@ Result ft_kmeans(ConstMatrixView data, const Options& opts,
     }
 
     // Uninterrupted epoch: aggregate like run_cluster does. res.iters
-    // already counts TOTAL logical iterations (resume offsets it).
+    // already counts TOTAL logical iterations (resume offsets it); each
+    // rank's core.iterations counts only the ones this epoch ran.
     out = std::move(rank_results[0]);
     for (int r = 1; r < live; ++r) {
       const Result& rr = rank_results[static_cast<std::size_t>(r)];

@@ -197,6 +197,17 @@ void Scheduler::parallel_for(index_t n, index_t task_size,
                              const numa::Partitioner* parts,
                              const std::function<void(int, const Task&)>& body) {
   begin_chunks(n, task_size, parts);
+  if (chunk_count() == 1) {
+    // One chunk: the caller runs it as its home thread — no worker wake-up
+    // and no handoff back. The claim goes through next_chunk so the stats
+    // count it as that thread's own; the workers are idle for the whole
+    // call, so the home thread's scratch is the caller's alone.
+    const int home = home_.front();
+    Task task;
+    next_chunk(home, task);
+    body(home, task);
+    return;
+  }
   run([&](int tid) {
     Task task;
     while (next_chunk(tid, task)) body(tid, task);

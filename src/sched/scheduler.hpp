@@ -134,7 +134,10 @@ class Scheduler {
   /// false when all deques are drained. Thread-safe.
   bool next_chunk(int thread, Task& out);
 
-  /// Chunked work-stealing loop: body(tid, task) over [0, n).
+  /// Chunked work-stealing loop: body(tid, task) over [0, n). A grid of
+  /// one chunk runs on the calling thread as the chunk's home thread (tid
+  /// = home, counted as an own claim) and a body exception propagates
+  /// directly; larger grids run on the workers through run().
   void parallel_for(index_t n, index_t task_size,
                     const numa::Partitioner* parts,
                     const std::function<void(int, const Task&)>& body);

@@ -89,8 +89,10 @@ struct QueryFrontEnd::Impl {
     if (fopts.batch_window < 1)
       throw std::invalid_argument("serve: batch_window must be >= 1");
     pack.pack(centroids);
-    for (auto& s : scratch)
-      s.resize(static_cast<std::size_t>(centroids.rows()));
+    for (auto& s : scratch) {
+      s.dist.resize(static_cast<std::size_t>(centroids.rows()));
+      s.top.resize(static_cast<std::size_t>(centroids.rows()));
+    }
     dispatcher = std::thread([this] { dispatch_loop(); });
   }
 
@@ -118,8 +120,13 @@ struct QueryFrontEnd::Impl {
   std::mutex close_mu;
   std::atomic<bool> closed{false};
 
-  /// Per-worker (dist_sq, centroid) scratch for top-m selection.
-  std::vector<std::vector<TopEntry>> scratch;
+  /// Per-worker top-m scratch: the k distances, then (centroid, dist_sq)
+  /// entries to rank.
+  struct TopScratch {
+    std::vector<value_t> dist;
+    std::vector<TopEntry> top;
+  };
+  std::vector<TopScratch> scratch;
   /// Mega-batch row maps, reused across batches (dispatcher-only).
   std::vector<const value_t*> row_ptr;
   std::vector<std::uint32_t> row_req;
@@ -233,7 +240,6 @@ void QueryFrontEnd::Impl::execute(
 
   const kernels::Ops& K = *ops;
   const int k = static_cast<int>(centroids.rows());
-  const index_t d = centroids.cols();
   const Clock::time_point t0 = Clock::now();
   {
     obs::Span span("serve_batch");
@@ -251,25 +257,27 @@ void QueryFrontEnd::Impl::execute(
               q.resp.assign[rr] =
                   K.nearest_blocked(row, pack, &q.resp.dist_sq[rr]);
             } else {
-              // All k distances through the ISA's dist_sq against the
-              // pack's rows (bitwise-equal to nearest_blocked's values),
-              // ordered by (dist_sq, index) — the serial oracle order.
+              // All k distances in one tiled pass (each bitwise equal to
+              // the ISA's dist_sq, as nearest_blocked's are), then the
+              // first m by (dist_sq, index) — the serial oracle order.
+              K.distances(row, pack, sc.dist.data());
               for (int c = 0; c < k; ++c)
-                sc[static_cast<std::size_t>(c)] = {
+                sc.top[static_cast<std::size_t>(c)] = {
                     static_cast<cluster_t>(c),
-                    K.dist_sq(row, pack.row(c), d)};
-              std::sort(sc.begin(), sc.end(),
-                        [](const TopEntry& a, const TopEntry& b) {
-                          return a.dist_sq < b.dist_sq ||
-                                 (a.dist_sq == b.dist_sq &&
-                                  a.cluster < b.cluster);
-                        });
+                    sc.dist[static_cast<std::size_t>(c)]};
+              std::partial_sort(sc.top.begin(), sc.top.begin() + q.m,
+                                sc.top.end(),
+                                [](const TopEntry& a, const TopEntry& b) {
+                                  return a.dist_sq < b.dist_sq ||
+                                         (a.dist_sq == b.dist_sq &&
+                                          a.cluster < b.cluster);
+                                });
               for (int j = 0; j < q.m; ++j)
                 q.resp.topm[rr * static_cast<std::size_t>(q.m) +
                             static_cast<std::size_t>(j)] =
-                    sc[static_cast<std::size_t>(j)];
-              q.resp.assign[rr] = sc[0].cluster;
-              q.resp.dist_sq[rr] = sc[0].dist_sq;
+                    sc.top[static_cast<std::size_t>(j)];
+              q.resp.assign[rr] = sc.top[0].cluster;
+              q.resp.dist_sq[rr] = sc.top[0].dist_sq;
             }
           }
         });

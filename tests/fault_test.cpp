@@ -236,8 +236,13 @@ TEST_F(FaultTest, ResumeContinuesFromCheckpointFile) {
   DistOptions dopts = base_dist();
   dopts.ranks = 3;
   fopts.resume = true;
+  const std::uint64_t resumed_at = sem::load_checkpoint(path).iteration;
   const Result res = ft_kmeans(data_->const_view(), opts(), dopts, fopts);
   expect_identical(res, "resume from file");
+  // Result::iters counts the whole logical run; each rank publishes only
+  // the iterations it ran after the checkpoint.
+  EXPECT_EQ(res.metrics.value_or("core.iterations", -1),
+            static_cast<std::int64_t>((res.iters - resumed_at) * 3));
   std::remove(path.c_str());
 }
 

@@ -6,7 +6,9 @@
 
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "numa/cost_model.hpp"
@@ -344,6 +346,64 @@ TEST(Scheduler, ParallelForBodyRunsOncePerChunk) {
     EXPECT_EQ(task.begin, static_cast<index_t>(task.chunk) * ts);
   });
   for (auto& r : runs) EXPECT_EQ(r.load(), 1);
+}
+
+// A one-chunk grid runs on the caller, as the chunk's home thread: no
+// worker wakes, the claim counts as that thread's own, and the body's
+// exception reaches the caller directly. Without a partitioner the single
+// chunk's home is the last thread (block_range gives the others nothing).
+TEST_P(PolicyTest, OneChunkParallelForRunsOnTheCaller) {
+  Scheduler sched(4, test_topo(), /*bind=*/true, GetParam());
+  const index_t n = 10;  // one chunk at the adaptive (64-row) size
+  sched.reset_stats();
+  std::thread::id ran_on;
+  int ran_tid = -1;
+  Task ran;
+  int calls = 0;
+  sched.parallel_for(n, 0, nullptr, [&](int tid, const Task& task) {
+    ran_on = std::this_thread::get_id();
+    ran_tid = tid;
+    ran = task;
+    ++calls;
+  });
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_EQ(ran_tid, 3);
+  EXPECT_EQ(ran.home_thread, 3);
+  EXPECT_EQ(ran.begin, 0u);
+  EXPECT_EQ(ran.end, n);
+  EXPECT_EQ(ran.chunk, 0u);
+  EXPECT_EQ(sched.stats(3).own, 1u);
+  EXPECT_EQ(sched.total_stats().total(), 1u);
+
+  EXPECT_THROW(sched.parallel_for(n, 0, nullptr,
+                                  [](int, const Task&) {
+                                    throw std::runtime_error("boom");
+                                  }),
+               std::runtime_error);
+  // Still usable, inline and through the workers.
+  int after = 0;
+  sched.parallel_for(n, 0, nullptr, [&](int, const Task&) { ++after; });
+  EXPECT_EQ(after, 1);
+  std::atomic<index_t> rows{0};
+  sched.parallel_for(1000, 64, nullptr,
+                     [&](int, const Task& task) { rows += task.size(); });
+  EXPECT_EQ(rows.load(), 1000u);
+}
+
+TEST_P(PolicyTest, MultiChunkParallelForNeverRunsOnTheCaller) {
+  Scheduler sched(4, test_topo(), /*bind=*/true, GetParam());
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const index_t n : {index_t(65), index_t(128), index_t(1000)}) {
+    std::atomic<int> on_caller{0}, calls{0};
+    sched.parallel_for(n, 64, nullptr, [&](int, const Task&) {
+      ++calls;
+      if (std::this_thread::get_id() == caller) ++on_caller;
+    });
+    EXPECT_EQ(calls.load(),
+              static_cast<int>(Scheduler::num_chunks(n, 64)));
+    EXPECT_EQ(on_caller.load(), 0) << "n=" << n;
+  }
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 //    survivor scan) are bitwise-identical to independent dist_sq calls of
 //    the same ISA (the contract that keeps MTI-pruned and full-scan paths
 //    in exact agreement), and the subset kernel's tie rule is pinned;
+//  * the all-distances kernel (top-m ranking) is bitwise equal to dist_sq
+//    through every tile tail;
 //  * CentroidPack rows are 64-byte aligned with zero padding for every
 //    d in 1..33 (the odd-d regression sweep);
 //  * Options::simd steers the engines and every ISA yields identical
@@ -228,6 +230,42 @@ TEST(SimdKernels, BlockedMatchesPerCentroidDistSqBitwise) {
         EXPECT_EQ(ops.nearest(point.data(), cents.data(), k, d, &generic_sq),
                   ref_best);
         EXPECT_EQ(std::memcmp(&generic_sq, &ref_sq, sizeof(value_t)), 0);
+      }
+    }
+  }
+}
+
+// Top-m's kernel: Ops::distances writes all k distances, each bitwise
+// equal to the ISA's dist_sq, and nothing past out[k). k runs through the
+// full tiles and every half-tile and tile tail of every ISA (kTile <= 8);
+// d through each ISA's partial chunk (1, kW - 1, kW, 2kW + 1 for kW 2, 4
+// and 8) and 33.
+TEST(SimdKernels, DistancesMatchPerCentroidDistSqBitwise) {
+  Prng rng(0xd157, 9);
+  constexpr value_t kSentinel = -12345.0;
+  for (const Isa isa : kernels::available_isas()) {
+    const Ops& ops = kernels::ops_for(isa);
+    for (const index_t d : {1, 2, 3, 4, 5, 7, 8, 9, 17, 33}) {
+      for (int k = 1; k <= 17; ++k) {
+        const auto point = random_vec(rng, d);
+        const auto cents = random_vec(rng, static_cast<index_t>(k) * d);
+        CentroidPack pack;
+        pack.pack(cents.data(), k, d);
+        std::vector<value_t> out(static_cast<std::size_t>(k) + 8, kSentinel);
+        ops.distances(point.data(), pack, out.data());
+        for (int c = 0; c < k; ++c) {
+          const value_t want = ops.dist_sq(
+              point.data(), cents.data() + static_cast<std::size_t>(c) * d,
+              d);
+          ASSERT_EQ(std::memcmp(&out[static_cast<std::size_t>(c)], &want,
+                                sizeof(value_t)),
+                    0)
+              << kernels::to_string(isa) << " d=" << d << " k=" << k
+              << " c=" << c;
+        }
+        for (std::size_t i = static_cast<std::size_t>(k); i < out.size(); ++i)
+          ASSERT_EQ(out[i], kSentinel)
+              << kernels::to_string(isa) << " d=" << d << " k=" << k;
       }
     }
   }

@@ -397,6 +397,42 @@ TEST_P(CheckpointResume, CheckpointWithoutSumsResumesExactlyOrIsRejected) {
             0);
 }
 
+// Counter parity on resume: the driver counts on from the checkpoint, but
+// a resumed call reports (Result::iters) and publishes (core.iterations in
+// Result::metrics) only the iterations it ran itself.
+TEST_P(CheckpointResume, ResumedRunPublishesOnlyItsOwnIterations) {
+  data::GeneratorSpec spec;
+  spec.n = 3000;
+  spec.d = 5;
+  spec.dist = data::Distribution::kUniformRandom;
+  const std::string matrix = dir_ / "m.kmat";
+  data::write_generated(matrix, spec);
+
+  Options opts;
+  opts.k = 6;
+  opts.threads = 2;
+  opts.max_iters = 30;
+  opts.prune = GetParam();
+  const Result uninterrupted = sem::kmeans(matrix, opts, sem::SemOptions{});
+  EXPECT_EQ(uninterrupted.metrics.value_or("core.iterations", -1),
+            static_cast<std::int64_t>(uninterrupted.iters));
+
+  sem::SemOptions with_ckpt;
+  with_ckpt.checkpoint_path = dir_ / "run.ckpt";
+  with_ckpt.checkpoint_interval = 8;
+  Options first_leg = opts;
+  first_leg.max_iters = 8;
+  sem::kmeans(matrix, first_leg, with_ckpt);
+  ASSERT_EQ(sem::load_checkpoint(with_ckpt.checkpoint_path).iteration, 8u);
+
+  sem::SemOptions resume_opts = with_ckpt;
+  resume_opts.resume = true;
+  const Result resumed = sem::kmeans(matrix, opts, resume_opts);
+  EXPECT_EQ(resumed.iters + 8, uninterrupted.iters);
+  EXPECT_EQ(resumed.metrics.value_or("core.iterations", -1),
+            static_cast<std::int64_t>(resumed.iters));
+}
+
 INSTANTIATE_TEST_SUITE_P(PruneModes, CheckpointResume, ::testing::Bool(),
                          [](const auto& info) {
                            return info.param ? "mti" : "nomti";
