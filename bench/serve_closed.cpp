@@ -1,17 +1,16 @@
 // Closed-loop serving throughput: 16 client threads driving a
-// serve::QueryFrontEnd — the PR-7 acceptance suite. The headline
-// comparison is batched (window=4096) against the one-request-per-call
-// baseline at the same client count: the queued path with the batching
-// window at 1, where the dispatcher makes exactly one compute call per
-// request. Admission + coalescing was to buy at least 2x throughput,
-// because the per-call overhead (compute lock handoff, obs span, and the
-// scheduler fork/join handshake while every call went to the workers)
-// repeats per request at window=1 and a mega-batch amortizes it across
-// every coalesced request. A one-chunk call now runs on the dispatcher
-// with no handshake, so window=1 pays far less than it did and the ratio
-// is near 1.3x on a 4-vCPU host (DESIGN.md §11). The direct
-// synchronous path (clients call assign_now themselves, no queue) rides
-// along as a reference for what admission itself costs.
+// serve::QueryFrontEnd. The headline comparison is batched (window=4096)
+// against the one-request-per-call baseline at the same client count: the
+// queued path with the batching window at 1, where the dispatcher makes
+// exactly one compute call per request. A 2-row request is one scheduler
+// chunk, and a one-chunk call runs on the dispatcher itself (no worker
+// wakeup, DESIGN.md §7), so window=1 pays only the compute-lock handoff,
+// the obs span and the per-call kernel setup per request; a mega-batch
+// amortizes those across every coalesced request and spreads its chunks
+// over the workers. The measured ratio is about 1.1-1.4x on a 4-vCPU host
+// (DESIGN.md §11). The direct synchronous path (clients call assign_now
+// themselves, no queue) rides along as a reference for what admission
+// itself costs.
 //
 // Stability note: each config is measured with one untimed warmup run and
 // >=5 samples regardless of the harness repeat count — a single cold
@@ -128,14 +127,15 @@ void run(Context& ctx) {
   ctx.chart("rows_per_sec");
   ctx.note(
       "one call per request = the queued path with the batching window at "
-      "1: every request pays its own scheduler fork/join, compute-lock "
-      "handoff and span; window=4096 coalesces whatever is queued into a "
-      "single compute call. Both queued configs run the same pipelined "
-      "closed loop (4 in flight per client), so the only difference is "
-      "the server-side call granularity. Acceptance: speedup >= 2 at 16 "
-      "clients. direct = clients call assign_now synchronously, bypassing "
-      "admission entirely — the reference for what the queue+future "
-      "machinery itself costs.");
+      "1: every request is one chunk, run on the dispatcher, and pays its "
+      "own compute-lock handoff and span; window=4096 coalesces whatever "
+      "is queued into a single compute call spread over the workers. Both "
+      "queued configs run the same pipelined closed loop (4 in flight per "
+      "client), so the only difference is the server-side call "
+      "granularity. Expected: speedup about 1.1-1.4x at 16 clients on a "
+      "4-vCPU host. direct = clients call assign_now synchronously, "
+      "bypassing admission entirely — the reference for what the "
+      "queue+future machinery itself costs.");
 }
 
 const Registration reg({
@@ -143,10 +143,12 @@ const Registration reg({
     "Closed-loop serving: batched mega-batches vs one-request-per-call at "
     "16 clients",
     "ROADMAP serving front end (no paper exhibit); DESIGN.md §11",
-    "Batched throughput >= 2x the one-compute-call-per-request baseline "
-    "at 16 clients (same queued path, window=1 vs window=4096); the "
-    "direct synchronous path sits between, paying per-call compute costs "
-    "but no admission hop.",
+    "Batched throughput about 1.1-1.4x the one-compute-call-per-request "
+    "baseline at 16 clients on a 4-vCPU host (same queued path, window=1 "
+    "vs window=4096): a one-chunk window=1 call runs on the dispatcher, "
+    "so batching saves only the per-call handoff, span and kernel setup; "
+    "the direct synchronous path pays per-call compute costs but no "
+    "admission hop.",
     430, run});
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include "core/kernels/simd.hpp"
 #include "core/run_metrics.hpp"
 #include "numa/partitioner.hpp"
-#include "numa/topology.hpp"
 #include "sched/scheduler.hpp"
 
 namespace knor::baselines {
@@ -18,8 +17,8 @@ Result h2o_like(ConstMatrixView data, const Options& opts) {
   const index_t n = data.rows();
   const index_t d = data.cols();
   const int k = opts.k;
-  const auto topo = numa::Topology::detect();
-  const int T = opts.threads > 0 ? opts.threads : topo.num_cpus();
+  const knor::detail::Workers workers(opts);
+  const int T = workers.threads;
 
   Result res;
   res.assignments.assign(static_cast<std::size_t>(n), kInvalidCluster);
@@ -28,8 +27,8 @@ Result h2o_like(ConstMatrixView data, const Options& opts) {
   DenseMatrix sums(static_cast<index_t>(k), d);
   std::vector<index_t> counts(static_cast<std::size_t>(k));
 
-  numa::Partitioner parts(n, T, topo);
-  sched::Scheduler sched(T, topo, /*bind=*/false);
+  numa::Partitioner parts(n, T, workers.topo);
+  sched::Scheduler sched(T, workers.topo, /*bind=*/false);
   std::vector<std::uint64_t> tchanged(static_cast<std::size_t>(T));
   std::vector<double> tbusy(static_cast<std::size_t>(T), 0.0);
 

@@ -7,7 +7,6 @@
 #include "core/kernels/simd.hpp"
 #include "core/run_metrics.hpp"
 #include "numa/partitioner.hpp"
-#include "numa/topology.hpp"
 #include "sched/scheduler.hpp"
 
 namespace knor::baselines {
@@ -18,16 +17,16 @@ Result mllib_like(ConstMatrixView data, const Options& opts) {
   const index_t n = data.rows();
   const index_t d = data.cols();
   const int k = opts.k;
-  const auto topo = numa::Topology::detect();
-  const int T = opts.threads > 0 ? opts.threads : topo.num_cpus();
+  const knor::detail::Workers workers(opts);
+  const int T = workers.threads;
 
   Result res;
   res.assignments.assign(static_cast<std::size_t>(n), kInvalidCluster);
   DenseMatrix cur = init_centroids(data, opts);
   kernels::CentroidPack pack;
 
-  numa::Partitioner parts(n, T, topo);
-  sched::Scheduler sched(T, topo, /*bind=*/false);
+  numa::Partitioner parts(n, T, workers.topo);
+  sched::Scheduler sched(T, workers.topo, /*bind=*/false);
 
   // Map output: per-thread vectors of (key, value-copy) pairs — the
   // materialized intermediate data a shuffle-based engine produces.

@@ -62,7 +62,19 @@ class ElkanStep {
     }
   }
 
-  cluster_t assign(index_t r, const value_t* v, cluster_t a, Counters& cnt) {
+  void assign(int, index_t r0, const value_t* v, index_t m,
+              const cluster_t* a, cluster_t* best, Counters& cnt) {
+    for (index_t i = 0; i < m; ++i, v += d_)
+      best[i] = assign_row(r0 + i, v, a[i], cnt);
+  }
+
+  double energy(const value_t* v, const value_t* c) const {
+    return K_.dist_sq(v, c, d_);
+  }
+
+ private:
+  cluster_t assign_row(index_t r, const value_t* v, cluster_t a,
+                       Counters& cnt) {
     value_t* lb = &lb_[static_cast<std::size_t>(r) * k_];
     if (a == kInvalidCluster) {
       // First iteration: full scan seeds both bound structures.
@@ -127,11 +139,6 @@ class ElkanStep {
     return best;
   }
 
-  double energy(const value_t* v, const value_t* c) const {
-    return K_.dist_sq(v, c, d_);
-  }
-
- private:
   // Elkan's bound algebra is in TRUE distances; the kernels return squared.
   value_t edist(const value_t* a, const value_t* b) const {
     return std::sqrt(K_.dist_sq(a, b, d_));

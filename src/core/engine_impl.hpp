@@ -20,6 +20,11 @@
 //     skip(r) (MTI clause 1, no data access) says it needs nothing.
 //     `cnt` == nullptr marks the final energy pass: skip is then always
 //     false, and no locality, penalty or per-iteration I/O stats are kept.
+//   const value_t* row(index_t r) const;
+//   int node_of_row(index_t r) const;
+//     In-memory sources only: row r's data and NUMA node. A step other
+//     than the default gets its rows through visit_runs_in_place, so it
+//     runs on these sources alone.
 //   void begin_iteration(int it, NeedsData&& needs_data);
 //   void end_iteration();
 //     Driver-thread hooks around iteration `it`'s super-phase; needs_data(r)
@@ -30,13 +35,17 @@
 // subset scan) when opts.prune. Any other step runs with MTI off whatever
 // opts.prune says, rebuilds the per-chunk sums every iteration, and
 // supplies:
-//   cluster_t assign(index_t r, const value_t* v, cluster_t a, Counters&);
-//     Worker thread: row r's new cluster given its current one `a`
-//     (kInvalidCluster in the first iteration); counts its own work.
+//   void assign(int tid, index_t r0, const value_t* v, index_t m,
+//               const cluster_t* a, cluster_t* best, Counters&);
+//     Worker thread `tid`: best[i] is the new cluster of row r0 + i
+//     (i < m, data at v + i*d) given its current one a[i] (kInvalidCluster
+//     in the first iteration); counts its own work. The driver then
+//     compares, stores and accumulates the run row by row.
 //   void update(const DenseMatrix& prev, DenseMatrix& cur);
 //     Driver thread, once before the first iteration (prev empty) and
 //     after every centroid update; may adjust `cur` (spherical
-//     renormalises). Where MTI's prepare sits for the default step.
+//     renormalises) or pack it (gemm). Where MTI's prepare sits for the
+//     default step.
 //   double energy(const value_t* v, const value_t* c) const;
 //     Row v's term of Result::energy against its final centroid c.
 //
@@ -108,6 +117,29 @@ void visit_in_place(const Data& data, index_t d,
       if (cnt != nullptr && !local) numa::RemotePenalty::charge();
       if (!skip(r)) step(r, v);
     }
+  }
+}
+
+/// visit_in_place's segment walk with each segment handed to run(r0, v, m)
+/// whole — m consecutive rows contiguous at v, never leaving one thread
+/// block — with the same locality counts and per-row remote penalty
+/// (`cnt` is never null: the energy pass goes through visit_task).
+template <typename Data, typename Run>
+void visit_runs_in_place(const Data& data, const numa::Partitioner& parts,
+                         int tid, const sched::Task& task, Counters* cnt,
+                         Run&& run) {
+  const int my_node = parts.node_of_thread(tid);
+  for (index_t r = task.begin; r < task.end;) {
+    const index_t seg_end =
+        std::min(task.end, parts.thread_rows(parts.thread_of_row(r)).end);
+    if (data.node_of_row(r) == my_node) {
+      cnt->local_accesses += seg_end - r;
+    } else {
+      cnt->remote_accesses += seg_end - r;
+      for (index_t i = r; i < seg_end; ++i) numa::RemotePenalty::charge();
+    }
+    run(r, data.row(r), seg_end - r);
+    r = seg_end;
   }
 }
 
@@ -223,6 +255,10 @@ Result run_parallel_lloyd(Data&& data, index_t n, index_t d,
   DenseMatrix next(static_cast<index_t>(k), d);
   DenseMatrix prev(static_cast<index_t>(k), d);
 
+  // Result::driver_serial_s: thread-CPU time of the driver-thread work the
+  // workers wait for — the centroid pack, the step's update hook,
+  // mti.prepare and finalize (the §1.6 makespan proxy's serial share).
+  double serial_start = thread_cpu_seconds();
   MtiState mti;
   if constexpr (kOwnStep) step.update(DenseMatrix{}, cur);
   if (prune) {
@@ -235,6 +271,7 @@ Result run_parallel_lloyd(Data&& data, index_t n, index_t d,
       for (index_t i = 0; i < n; ++i)
         mti.set_ub(i, resume->upper_bounds[static_cast<std::size_t>(i)]);
   }
+  res.driver_serial_s += thread_cpu_seconds() - serial_start;
 
   // Padded, 64-byte-aligned centroid tile for the blocked full-scan and
   // subset kernels; repacked from `cur` before every iteration (calling
@@ -265,6 +302,9 @@ Result run_parallel_lloyd(Data&& data, index_t n, index_t d,
   }
 
   std::vector<PerThread> per_thread(static_cast<std::size_t>(T));
+  // An own step's per-thread `best` buffer, grown to the longest run.
+  std::vector<std::vector<cluster_t>> run_best(kOwnStep ? per_thread.size()
+                                                        : 0);
 
   ScopedAlloc mem_chunks("per-chunk-centroids",
                          prune ? deltas.bytes() : locals.bytes());
@@ -287,19 +327,12 @@ Result run_parallel_lloyd(Data&& data, index_t n, index_t d,
            !mti.clause1(a, mti.ub(r) + mti.drift(a));
   };
 
-  // The per-row step for a row that survived clause 1; `v` is its data.
+  // The default step for a row that survived clause 1; `v` is its data.
   // `chunk` selects the deterministic accumulator slot.
   auto process_point = [&](index_t r, const value_t* v, int tid,
                            std::uint32_t chunk) {
     Counters& cnt = per_thread[static_cast<std::size_t>(tid)].counters;
     const cluster_t a = res.assignments[r];
-    if constexpr (kOwnStep) {
-      const cluster_t best = step.assign(r, v, a, cnt);
-      if (best != a) ++per_thread[static_cast<std::size_t>(tid)].changed;
-      res.assignments[r] = best;
-      locals.touch(chunk).add(best, v);
-      return;
-    }
     if (prune && a != kInvalidCluster) {
       // The shared pruned-assign step (clauses 2/3 + subset scan).
       const cluster_t best = mti.assign(r, v, a, K, pack, cnt);
@@ -337,11 +370,31 @@ Result run_parallel_lloyd(Data&& data, index_t n, index_t d,
     Counters& cnt = per_thread[static_cast<std::size_t>(tid)].counters;
     sched::Task task;
     while (sched.next_chunk(tid, task)) {
-      data.visit_task(
-          parts, tid, task, &cnt, [&](index_t r) { return skip(r, cnt); },
-          [&](index_t r, const value_t* v) {
-            process_point(r, v, tid, task.chunk);
-          });
+      if constexpr (kOwnStep) {
+        // An own step picks a whole run's clusters; the driver then
+        // compares, stores and accumulates row by row.
+        PerThread& pt = per_thread[static_cast<std::size_t>(tid)];
+        std::vector<cluster_t>& best = run_best[static_cast<std::size_t>(tid)];
+        LocalCentroids& acc = locals.touch(task.chunk);
+        visit_runs_in_place(
+            data, parts, tid, task, &cnt,
+            [&](index_t r0, const value_t* v, index_t m) {
+              if (best.size() < m) best.resize(m);
+              step.assign(tid, r0, v, m, &res.assignments[r0], best.data(),
+                          cnt);
+              for (index_t i = 0; i < m; ++i, v += d) {
+                if (best[i] != res.assignments[r0 + i]) ++pt.changed;
+                res.assignments[r0 + i] = best[i];
+                acc.add(best[i], v);
+              }
+            });
+      } else {
+        data.visit_task(
+            parts, tid, task, &cnt, [&](index_t r) { return skip(r, cnt); },
+            [&](index_t r, const value_t* v) {
+              process_point(r, v, tid, task.chunk);
+            });
+      }
     }
     per_thread[static_cast<std::size_t>(tid)].busy_s +=
         thread_cpu_seconds() - cpu_start;
@@ -381,7 +434,11 @@ Result run_parallel_lloyd(Data&& data, index_t n, index_t d,
   if (resumed) res.iters = static_cast<std::size_t>(resume->iteration);
   for (int it = start_iter; it < opts.max_iters; ++it) {
     WallTimer timer;
-    if constexpr (!kOwnStep) pack.pack(cur);
+    if constexpr (!kOwnStep) {
+      serial_start = thread_cpu_seconds();
+      pack.pack(cur);
+      res.driver_serial_s += thread_cpu_seconds() - serial_start;
+    }
     data.begin_iteration(it, needs_data);
     sched.begin_chunks(n, task_size, &parts);
     {
@@ -428,6 +485,7 @@ Result run_parallel_lloyd(Data&& data, index_t n, index_t d,
 
     // Finalize next centroids from the merged accumulator (slot 0).
     obs::Span span_update("update");
+    serial_start = thread_cpu_seconds();
     std::memcpy(prev.data(), cur.data(), cur.size() * sizeof(value_t));
     if (prune) {
       deltas.merged().apply_to(sums.data(), counts.data());
@@ -443,6 +501,7 @@ Result run_parallel_lloyd(Data&& data, index_t n, index_t d,
     std::swap(cur, next);
     if constexpr (kOwnStep) step.update(prev, cur);
     if (prune) mti.prepare(prev, cur, K);
+    res.driver_serial_s += thread_cpu_seconds() - serial_start;
 
     res.iter_times.record(timer.elapsed());
     ++res.iters;

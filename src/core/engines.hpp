@@ -9,17 +9,18 @@
 //                     centroids guarded by per-centroid locks; exhibits the
 //                     phase-II interference the paper's §4 describes.
 //   elkan_ti        — full Elkan triangle-inequality algorithm with the
-//                     O(nk) lower-bound matrix (what MTI simplifies): an
-//                     assign step of the shared ||Lloyd's driver
-//                     (core/engine_impl.hpp), like spherical_kmeans and
-//                     seeded_kmeans (core/variants.hpp).
-//   minibatch       — mini-batch SGD k-means (Sophia-ML stand-in, §2).
+//                     O(nk) lower-bound matrix (what MTI simplifies).
 //   gemm_kmeans     — Lloyd's phase I expressed as ||x||^2 - 2 X C^T +
 //                     ||c||^2 over a blocked dgemm (MATLAB/BLAS stand-in,
 //                     Table 3).
+//   minibatch       — mini-batch SGD k-means (Sophia-ML stand-in, §2): a
+//                     decay-1 stream::StreamEngine replay of its sampled
+//                     batches, then one stream::AssignServer pass.
 //
-// lloyd_serial, lloyd_locked, minibatch and gemm_kmeans still carry their
-// own iteration loops. All exact engines (serial, locked, elkan, gemm, and
+// elkan_ti and gemm_kmeans are assign steps of the shared ||Lloyd's driver
+// (core/engine_impl.hpp), like spherical_kmeans and seeded_kmeans
+// (core/variants.hpp); only lloyd_serial and lloyd_locked keep their own
+// iteration loops. All exact engines (serial, locked, elkan, gemm, and
 // the parallel engine behind kmeans) follow the identical iteration
 // protocol — same argmin tie rule (lowest index), same empty-cluster rule
 // (keep previous centroid), same convergence test (membership changes <=

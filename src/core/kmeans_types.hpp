@@ -127,8 +127,9 @@ struct Result {
   /// (empty for engines without a worker pool). On an oversubscribed host,
   /// max() of these approximates the run's makespan on dedicated cores.
   std::vector<double> thread_busy_s;
-  /// CPU seconds of inherently serial driver-side work (shuffle, master
-  /// reductions); 0 for knor engines, nonzero for framework stand-ins.
+  /// CPU seconds of inherently serial driver-side work: the shared
+  /// driver's centroid pack, step update, MTI prepare and finalize; the
+  /// framework stand-ins' shuffle and master reductions.
   double driver_serial_s = 0.0;
   /// This run's slice of the global obs registry (snapshot diff taken
   /// around the engine run): cache/pruning/steal counters and phase

@@ -131,11 +131,15 @@ class SeededStep {
 
   void update(const DenseMatrix&, DenseMatrix& cur) { pack_.pack(cur); }
 
-  cluster_t assign(index_t r, const value_t* v, cluster_t, Counters& cnt) {
-    // Constraint: labeled points keep their label forever.
-    if (labels_[r] != kInvalidCluster) return labels_[r];
-    cnt.dist_computations += static_cast<std::uint64_t>(pack_.k());
-    return K_.nearest_blocked(v, pack_, nullptr);
+  void assign(int, index_t r0, const value_t* v, index_t m, const cluster_t*,
+              cluster_t* best, Counters& cnt) {
+    for (index_t i = 0; i < m; ++i, v += d_) {
+      // Constraint: labeled points keep their label forever.
+      best[i] = labels_[r0 + i];
+      if (best[i] != kInvalidCluster) continue;
+      cnt.dist_computations += static_cast<std::uint64_t>(pack_.k());
+      best[i] = K_.nearest_blocked(v, pack_, nullptr);
+    }
   }
 
   double energy(const value_t* v, const value_t* c) const {

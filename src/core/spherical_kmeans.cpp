@@ -43,18 +43,21 @@ class CosineStep {
         std::memcpy(cur.row(c), prev.row(c), d_ * sizeof(value_t));
   }
 
-  cluster_t assign(index_t, const value_t* v, cluster_t, Counters& cnt) {
-    cluster_t best = 0;
-    value_t best_sim = K_.dot(v, cur_->row(0), d_);
-    for (int c = 1; c < k_; ++c) {
-      const value_t sim = K_.dot(v, cur_->row(static_cast<index_t>(c)), d_);
-      if (sim > best_sim) {
-        best_sim = sim;
-        best = static_cast<cluster_t>(c);
+  void assign(int, index_t, const value_t* v, index_t m, const cluster_t*,
+              cluster_t* best, Counters& cnt) {
+    for (index_t i = 0; i < m; ++i, v += d_) {
+      best[i] = 0;
+      value_t best_sim = K_.dot(v, cur_->row(0), d_);
+      for (int c = 1; c < k_; ++c) {
+        const value_t sim =
+            K_.dot(v, cur_->row(static_cast<index_t>(c)), d_);
+        if (sim > best_sim) {
+          best_sim = sim;
+          best[i] = static_cast<cluster_t>(c);
+        }
       }
     }
-    cnt.dist_computations += static_cast<std::uint64_t>(k_);
-    return best;
+    cnt.dist_computations += static_cast<std::uint64_t>(m) * k_;
   }
 
   double energy(const value_t* v, const value_t* c) const {

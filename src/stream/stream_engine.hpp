@@ -9,8 +9,9 @@
 //     centre_c <- (decay * W_c_old * centre_c + s_c) / W_c    (m_c > 0)
 //
 // decay = 1 makes centre_c the exact running mean of every row ever
-// assigned to c — the same estimator mini-batch k-means (core/minibatch)
-// converges to on the same batch order (tests/stream_test.cpp pins this).
+// assigned to c — mini-batch k-means' estimator, which is why
+// core/minibatch is a decay-1 replay of its sampled batches through this
+// engine.
 // decay < 1 exponentially forgets old batches, which is what lets the
 // centroids track a drifting source.
 //

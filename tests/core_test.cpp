@@ -521,6 +521,64 @@ TEST(Minibatch, ReducesEnergyTowardExact) {
   EXPECT_EQ(total, 8000u);
 }
 
+TEST(Minibatch, MatchesPerSampleUpdateOracle) {
+  // The per-sample mini-batch update (Sculley, WWW'10), written out: each
+  // batch is assigned against frozen centroids, then every sample moves
+  // its centre by eta = 1/count. minibatch() computes the same running
+  // means through a decay-1 StreamEngine, so the two agree up to FP
+  // association on the same init and sampler stream.
+  data::GeneratorSpec spec;
+  spec.n = 3000;
+  spec.d = 5;
+  spec.true_clusters = 6;
+  const DenseMatrix m = data::generate(spec);
+  Options opts;
+  opts.k = 6;
+  opts.seed = 9;
+  opts.threads = 2;
+  MinibatchOptions mb;
+  mb.batch_size = 200;
+  mb.max_iters = 25;
+  const Result res = minibatch(m.const_view(), opts, mb);
+
+  const kernels::Ops& K = kernels::ops_for(opts.simd);
+  DenseMatrix cur = init_centroids(m.const_view(), opts);
+  std::vector<index_t> counts(static_cast<std::size_t>(opts.k), 0);
+  std::vector<index_t> batch(mb.batch_size);
+  std::vector<cluster_t> assign(mb.batch_size);
+  Prng rng(opts.seed, /*stream=*/0xba7c);
+  for (int it = 0; it < mb.max_iters; ++it) {
+    for (auto& b : batch) b = rng.next_below(m.rows());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      value_t best_sq = K.dist_sq(m.row(batch[i]), cur.row(0), m.cols());
+      assign[i] = 0;
+      for (int c = 1; c < opts.k; ++c) {
+        const value_t sq = K.dist_sq(m.row(batch[i]),
+                                     cur.row(static_cast<index_t>(c)),
+                                     m.cols());
+        if (sq < best_sq) {
+          best_sq = sq;
+          assign[i] = static_cast<cluster_t>(c);
+        }
+      }
+    }
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      value_t* centre = cur.row(assign[i]);
+      const value_t eta = value_t(1) / static_cast<value_t>(++counts[assign[i]]);
+      for (index_t j = 0; j < m.cols(); ++j)
+        centre[j] += eta * (m.row(batch[i])[j] - centre[j]);
+    }
+  }
+
+  EXPECT_EQ(res.iters, 25u);
+  EXPECT_EQ(res.counters.dist_computations, (25u * 200u + 3000u) * 6u);
+  for (index_t c = 0; c < cur.rows(); ++c)
+    for (index_t j = 0; j < cur.cols(); ++j)
+      EXPECT_NEAR(res.centroids.at(c, j), cur.at(c, j),
+                  1e-9 * (1.0 + std::fabs(cur.at(c, j))))
+          << "c=" << c << " j=" << j;
+}
+
 TEST(Result, SummaryMentionsKeyFields) {
   data::GeneratorSpec spec;
   spec.n = 100;

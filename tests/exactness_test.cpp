@@ -12,6 +12,7 @@
 #include "core/engines.hpp"
 #include "core/knori.hpp"
 #include "data/generator.hpp"
+#include "numa/partitioner.hpp"
 
 namespace knor {
 namespace {
@@ -146,6 +147,31 @@ TEST_P(ExactnessSweep, GemmTileShapeAndThreadGridBitwiseInvariant) {
           << what;
     }
   }
+
+  // Simulated two-node topology at T = 3 with 41-row chunks: chunks
+  // straddle thread blocks, so the driver hands the GEMM step runs cut at
+  // segment boundaries. Against T = 1 on the same chunk grid (one block,
+  // whole-chunk runs) nothing may move.
+  Options opts = opts_;
+  opts.numa_nodes = 2;
+  opts.task_size = 41;
+  opts.threads = 3;
+  const numa::Partitioner parts(data_.rows(), opts.threads,
+                                numa::Topology::simulated(opts.numa_nodes));
+  ASSERT_NE(parts.thread_rows(0).end % opts.task_size, 0u)
+      << "no chunk straddles the first thread block";
+  const Result split = gemm_kmeans(data_.const_view(), opts);
+  opts.threads = 1;
+  const Result whole = gemm_kmeans(data_.const_view(), opts);
+  ASSERT_EQ(split.iters, whole.iters);
+  EXPECT_EQ(split.assignments, whole.assignments);
+  EXPECT_EQ(split.cluster_sizes, whole.cluster_sizes);
+  EXPECT_EQ(std::memcmp(split.centroids.data(), whole.centroids.data(),
+                        whole.centroids.size() * sizeof(value_t)),
+            0)
+      << "split runs: centroids differ bitwise";
+  EXPECT_EQ(std::memcmp(&split.energy, &whole.energy, sizeof(double)), 0)
+      << "split runs: energy differs bitwise";
 }
 
 TEST_P(ExactnessSweep, SchedulerPoliciesAgree) {

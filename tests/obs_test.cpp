@@ -362,6 +362,7 @@ TEST(ObsRunSlice, DriverEnginesEmitTheirPhases) {
   const Case cases[] = {
       {"knori", knori},
       {"elkan", elkan_ti(m.const_view(), opts)},
+      {"gemm", gemm_kmeans(m.const_view(), opts)},
       {"spherical", spherical_kmeans(m.const_view(), opts)},
       {"seeded", seeded_kmeans(m.const_view(), opts, labels)},
   };
